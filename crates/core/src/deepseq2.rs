@@ -192,7 +192,8 @@ impl DeepSeq2 {
         })
     }
 
-    /// Forward pass: gated uniform aggregation over the two-phase schedule.
+    /// Forward pass: gated uniform aggregation over the two-phase level
+    /// schedule, one batched update per level.
     fn forward(&self, g: &mut Graph, store: &ParamStore, circuit: &CircuitGraph) -> Var {
         let x = g.input(circuit.features.clone());
         let w_in = g.param(self.w_in, store);
@@ -200,53 +201,28 @@ impl DeepSeq2 {
         let proj = g.matmul(x, w_in);
         let proj = g.add_row(proj, b_in);
         let h0 = g.tanh(proj);
-        let (wz, uz, bz) = (
-            g.param(self.wz, store),
-            g.param(self.uz, store),
-            g.param(self.bz, store),
-        );
-        let (wh, uh, bh) = (
-            g.param(self.wh, store),
-            g.param(self.uh, store),
-            g.param(self.bh, store),
-        );
-        let d = self.config.d_state * 2;
+        let gate = Gate {
+            wz: g.param(self.wz, store),
+            uz: g.param(self.uz, store),
+            bz: g.param(self.bz, store),
+            wh: g.param(self.wh, store),
+            uh: g.param(self.uh, store),
+            bh: g.param(self.bh, store),
+        };
 
+        // Level by level, then the DFFs; fanin-less cells keep their
+        // initial state.
         let mut table = StateTable::new(h0, circuit.node_count);
         for _ in 0..self.config.iterations {
-            for group in circuit
-                .comb_schedule
-                .iter()
-                .chain(circuit.dff_schedule.iter())
-            {
-                if group.arity == 0 {
-                    continue;
-                }
-                let h_v = table.gather(g, &group.nodes);
+            for level in &circuit.comb_schedule {
                 // Uniform mean aggregation over fanins.
-                let mut msg = table.gather(g, &group.fanins[0]);
-                for p in 1..group.arity {
-                    let m = table.gather(g, &group.fanins[p]);
-                    msg = g.add(msg, m);
-                }
-                let msg = g.scale(msg, 1.0 / group.arity as f32);
-                // GRU-style gate.
-                let hz = g.matmul(h_v, wz);
-                let mz = g.matmul(msg, uz);
-                let zsum = g.add(hz, mz);
-                let zsum = g.add_row(zsum, bz);
-                let z = g.sigmoid(zsum);
-                let hh = g.matmul(h_v, wh);
-                let mh = g.matmul(msg, uh);
-                let hsum = g.add(hh, mh);
-                let hsum = g.add_row(hsum, bh);
-                let cand = g.tanh(hsum);
-                let ones = g.input(Tensor::full(group.nodes.len(), d, 1.0));
-                let keep = g.sub(ones, z);
-                let a = g.mul(keep, h_v);
-                let b_ = g.mul(z, cand);
-                let new = g.add(a, b_);
-                table.update(new, &group.nodes);
+                let pins = table.gather(g, &level.fanins);
+                let msg = g.segment_mean(pins, &level.fanin_offsets);
+                gate.update(g, &mut table, &level.nodes, msg);
+            }
+            if !circuit.dff_nodes.is_empty() {
+                let msg = table.gather(g, &circuit.dff_fanins);
+                gate.update(g, &mut table, &circuit.dff_nodes, msg);
             }
         }
         table.assemble(g)
@@ -328,6 +304,41 @@ impl DeepSeq2 {
         } else {
             o
         }
+    }
+}
+
+/// The shared GRU-style gate (the uniform aggregator's update).
+#[derive(Debug, Clone, Copy)]
+struct Gate {
+    wz: Var,
+    uz: Var,
+    bz: Var,
+    wh: Var,
+    uh: Var,
+    bh: Var,
+}
+
+impl Gate {
+    /// `h' = (1−z)∘h + z∘tanh(hWh + mUh + bh)` with
+    /// `z = σ(hWz + mUz + bz)` for `nodes`, whose messages are `msg`.
+    fn update(&self, g: &mut Graph, table: &mut StateTable, nodes: &[usize], msg: Var) {
+        let h_v = table.gather(g, nodes);
+        let hz = g.matmul(h_v, self.wz);
+        let mz = g.matmul(msg, self.uz);
+        let zsum = g.add(hz, mz);
+        let zsum = g.add_row(zsum, self.bz);
+        let z = g.sigmoid(zsum);
+        let hh = g.matmul(h_v, self.wh);
+        let mh = g.matmul(msg, self.uh);
+        let hsum = g.add(hh, mh);
+        let hsum = g.add_row(hsum, self.bh);
+        let cand = g.tanh(hsum);
+        let ones = g.input(Tensor::full(nodes.len(), g.value(h_v).cols(), 1.0));
+        let keep = g.sub(ones, z);
+        let a = g.mul(keep, h_v);
+        let b = g.mul(z, cand);
+        let new = g.add(a, b);
+        table.update(new, nodes);
     }
 }
 

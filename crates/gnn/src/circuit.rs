@@ -1,25 +1,51 @@
 //! Preprocessed circuit structure for GNN propagation: the level-ordered
-//! update schedule (paper Fig. 4) grouped by (level, cluster, arity).
+//! update schedule (paper Fig. 4), one entry per combinational level with
+//! its fanins in CSR form.
 
 use moss_netlist::{Levelization, Netlist, NetlistError, NodeId};
 use moss_tensor::Tensor;
 
 use crate::clustering::Clustering;
 
-/// One batched update group: nodes at the same level, in the same cluster,
-/// with the same fanin arity, so a single set of matrix ops updates all of
-/// them.
+/// Pins per node the aggregators read (and per-aggregator pin biases);
+/// fanins beyond the third are ignored.
+pub const MAX_PINS: usize = 3;
+
+/// One combinational level: nodes whose fanins are all settled once the
+/// earlier levels have run, so one batched pass updates all of them.
+///
+/// Nodes are sorted by (cluster, node index), so each aggregator's nodes —
+/// and, through the CSR offsets, their pins — form one contiguous run.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Group {
-    /// Aggregator (cluster) id.
-    pub cluster: usize,
-    /// Fanin count of every node in this group (0–3).
-    pub arity: usize,
-    /// Node indices updated by this group.
+pub struct Level {
+    /// Node indices updated at this level.
     pub nodes: Vec<usize>,
-    /// Per-pin fanin node indices: `fanins[p][i]` drives pin `p` of
-    /// `nodes[i]`. Only the first `arity` entries are meaningful.
-    pub fanins: [Vec<usize>; 3],
+    /// Aggregator (cluster) id of each run of `nodes`, ascending.
+    pub clusters: Vec<usize>,
+    /// Run boundaries over `nodes`: run `r` is rows
+    /// `run_bounds[r]..run_bounds[r + 1]` (`clusters.len() + 1` entries).
+    pub run_bounds: Vec<usize>,
+    /// CSR offsets: the pins of `nodes[i]` are
+    /// `fanins[fanin_offsets[i]..fanin_offsets[i + 1]]`.
+    pub fanin_offsets: Vec<usize>,
+    /// Pin source node indices, node-major and in pin order.
+    pub fanins: Vec<usize>,
+    /// For each pin, `run · MAX_PINS + pin position`: its row-major index in
+    /// the `clusters.len() × MAX_PINS` table of this level's pin biases.
+    pub pin_bias_index: Vec<usize>,
+    /// Largest fanin count at this level (1 to [`MAX_PINS`]).
+    pub max_arity: usize,
+}
+
+impl Level {
+    /// Pin-row boundaries of the cluster runs (the CSR offsets at
+    /// `run_bounds`).
+    pub fn pin_bounds(&self) -> Vec<usize> {
+        self.run_bounds
+            .iter()
+            .map(|&b| self.fanin_offsets[b])
+            .collect()
+    }
 }
 
 /// A netlist prepared for propagation: features, clustering, and the
@@ -30,12 +56,17 @@ pub struct CircuitGraph {
     pub features: Tensor,
     /// Node-to-aggregator assignment.
     pub clusters: Clustering,
-    /// Combinational groups in ascending level order (forward phase).
-    pub comb_schedule: Vec<Group>,
-    /// DFF groups (turnaround phase).
-    pub dff_schedule: Vec<Group>,
-    /// Indices of DFF nodes, ascending.
+    /// Combinational cells without fanins (tie cells), ascending. They read
+    /// no other node, so each round updates them before the first level.
+    pub sources: Vec<usize>,
+    /// Combinational levels in ascending order (forward phase). Primary
+    /// outputs ride along as one-pin "wire" updates at their driver's
+    /// level + 1.
+    pub comb_schedule: Vec<Level>,
+    /// Indices of DFF nodes, ascending (turnaround phase).
     pub dff_nodes: Vec<usize>,
+    /// The D-pin driver of each DFF in `dff_nodes`.
+    pub dff_fanins: Vec<usize>,
     /// Total node count (states matrix height).
     pub node_count: usize,
 }
@@ -63,66 +94,64 @@ impl CircuitGraph {
         assert_eq!(clusters.assignment.len(), n, "one cluster per node");
         let levels = Levelization::of(netlist)?;
 
-        // Forward phase: combinational cells in level order, grouped by
-        // (level, cluster, arity). Primary outputs ride along as arity-1
-        // "wire" updates at their driver's level + 1.
-        let mut keyed: Vec<(u32, usize, usize, NodeId)> = Vec::new();
+        let mut sources = Vec::new();
+        let mut keyed: Vec<(u32, usize, NodeId)> = Vec::new();
         for &id in levels.topo_combinational() {
-            let arity = netlist.fanins(id).len().min(3);
-            keyed.push((levels.level(id), clusters.assignment[id.index()], arity, id));
+            if netlist.fanins(id).is_empty() {
+                sources.push(id.index());
+            } else {
+                keyed.push((levels.level(id), clusters.assignment[id.index()], id));
+            }
         }
         for id in netlist.primary_outputs() {
-            keyed.push((levels.level(id) + 1, clusters.assignment[id.index()], 1, id));
+            keyed.push((levels.level(id) + 1, clusters.assignment[id.index()], id));
         }
-        keyed.sort();
-        let mut comb_schedule: Vec<Group> = Vec::new();
-        let mut last_key: Option<(u32, usize, usize)> = None;
-        for (level, cluster, arity, id) in keyed {
-            if last_key != Some((level, cluster, arity)) {
-                comb_schedule.push(Group {
-                    cluster,
-                    arity,
+        sources.sort_unstable();
+        keyed.sort_unstable();
+
+        let mut comb_schedule: Vec<Level> = Vec::new();
+        let mut last_level = None;
+        for (level, cluster, id) in keyed {
+            if last_level != Some(level) {
+                comb_schedule.push(Level {
                     nodes: Vec::new(),
-                    fanins: [Vec::new(), Vec::new(), Vec::new()],
+                    clusters: Vec::new(),
+                    run_bounds: vec![0],
+                    fanin_offsets: vec![0],
+                    fanins: Vec::new(),
+                    pin_bias_index: Vec::new(),
+                    max_arity: 0,
                 });
-                last_key = Some((level, cluster, arity));
+                last_level = Some(level);
             }
-            let g = comb_schedule.last_mut().expect("just pushed");
-            g.nodes.push(id.index());
-            for (p, &f) in netlist.fanins(id).iter().take(3).enumerate() {
-                g.fanins[p].push(f.index());
+            let l = comb_schedule.last_mut().expect("just pushed");
+            if l.clusters.last() != Some(&cluster) {
+                l.clusters.push(cluster);
+                l.run_bounds.push(l.nodes.len());
             }
+            l.nodes.push(id.index());
+            *l.run_bounds.last_mut().expect("run open") = l.nodes.len();
+            let run = l.clusters.len() - 1;
+            let pins = netlist.fanins(id);
+            for (p, &f) in pins.iter().take(MAX_PINS).enumerate() {
+                l.fanins.push(f.index());
+                l.pin_bias_index.push(run * MAX_PINS + p);
+            }
+            l.fanin_offsets.push(l.fanins.len());
+            l.max_arity = l.max_arity.max(pins.len().min(MAX_PINS));
         }
 
-        // Turnaround phase: DFFs grouped by cluster (all arity 1).
-        let dff_nodes: Vec<usize> = netlist.dffs().iter().map(|d| d.index()).collect();
-        let mut dff_schedule: Vec<Group> = Vec::new();
-        let mut dff_sorted: Vec<(usize, NodeId)> = netlist
-            .dffs()
-            .into_iter()
-            .map(|d| (clusters.assignment[d.index()], d))
-            .collect();
-        dff_sorted.sort();
-        for (cluster, id) in dff_sorted {
-            if dff_schedule.last().map(|g| g.cluster) != Some(cluster) {
-                dff_schedule.push(Group {
-                    cluster,
-                    arity: 1,
-                    nodes: Vec::new(),
-                    fanins: [Vec::new(), Vec::new(), Vec::new()],
-                });
-            }
-            let g = dff_schedule.last_mut().expect("just pushed");
-            g.nodes.push(id.index());
-            g.fanins[0].push(netlist.fanins(id)[0].index());
-        }
+        let dffs = netlist.dffs();
+        let dff_nodes: Vec<usize> = dffs.iter().map(|d| d.index()).collect();
+        let dff_fanins = dffs.iter().map(|&d| netlist.fanins(d)[0].index()).collect();
 
         Ok(CircuitGraph {
             features,
             clusters,
+            sources,
             comb_schedule,
-            dff_schedule,
             dff_nodes,
+            dff_fanins,
             node_count: n,
         })
     }
@@ -159,16 +188,19 @@ mod tests {
         let nl = pipeline_netlist();
         let n = nl.node_count();
         let cg = CircuitGraph::new(&nl, Tensor::zeros(n, 4), trivial_clustering(n)).unwrap();
-        let scheduled: usize = cg.comb_schedule.iter().map(|g| g.nodes.len()).sum();
+        let scheduled: usize = cg.comb_schedule.iter().map(|l| l.nodes.len()).sum();
         // 3 comb cells + 1 primary output.
         assert_eq!(scheduled, 4);
+        assert!(cg.sources.is_empty());
         assert_eq!(cg.dff_nodes.len(), 2);
-        let dff_scheduled: usize = cg.dff_schedule.iter().map(|g| g.nodes.len()).sum();
-        assert_eq!(dff_scheduled, 2);
+        let r0 = nl.find("r0").unwrap().index();
+        let u2 = nl.find("u2").unwrap().index();
+        let at = cg.dff_nodes.iter().position(|&d| d == r0).unwrap();
+        assert_eq!(cg.dff_fanins[at], u2, "D-pin driver aligned with its DFF");
     }
 
     #[test]
-    fn groups_respect_level_order() {
+    fn levels_respect_level_order() {
         let nl = pipeline_netlist();
         let n = nl.node_count();
         let cg = CircuitGraph::new(&nl, Tensor::zeros(n, 4), trivial_clustering(n)).unwrap();
@@ -177,10 +209,14 @@ mod tests {
             let id = nl.find(name).unwrap().index();
             cg.comb_schedule
                 .iter()
-                .position(|g| g.nodes.contains(&id))
+                .position(|l| l.nodes.contains(&id))
                 .unwrap()
         };
         assert!(pos("u1") < pos("u2"));
+        // A level never reads a node it updates.
+        for l in &cg.comb_schedule {
+            assert!(l.fanins.iter().all(|f| !l.nodes.contains(f)));
+        }
     }
 
     #[test]
@@ -188,15 +224,41 @@ mod tests {
         let nl = pipeline_netlist();
         let n = nl.node_count();
         let cg = CircuitGraph::new(&nl, Tensor::zeros(n, 4), trivial_clustering(n)).unwrap();
-        for g in &cg.comb_schedule {
-            for p in 0..g.arity {
-                assert_eq!(g.fanins[p].len(), g.nodes.len(), "pin {p} aligned");
+        for l in &cg.comb_schedule {
+            assert_eq!(l.fanin_offsets.len(), l.nodes.len() + 1);
+            assert_eq!(*l.fanin_offsets.last().unwrap(), l.fanins.len());
+            assert_eq!(l.pin_bias_index.len(), l.fanins.len());
+            for (i, &node) in l.nodes.iter().enumerate() {
+                let pins = &l.fanins[l.fanin_offsets[i]..l.fanin_offsets[i + 1]];
+                let expect: Vec<usize> = nl
+                    .fanins(NodeId::new(node))
+                    .iter()
+                    .map(|f| f.index())
+                    .collect();
+                assert_eq!(pins, expect.as_slice(), "pins of node {node}");
+                assert!(!pins.is_empty() && pins.len() <= l.max_arity);
             }
         }
     }
 
     #[test]
-    fn clustered_groups_split_by_cluster() {
+    fn tie_cells_become_sources() {
+        let mut nl = pipeline_netlist();
+        let a = nl.find("a").unwrap();
+        let tie = nl.add_cell(CellKind::Tie1, "t1", &[]).unwrap();
+        let g = nl.add_cell(CellKind::And2, "u4", &[tie, a]).unwrap();
+        nl.add_output("z", g);
+        let n = nl.node_count();
+        let cg = CircuitGraph::new(&nl, Tensor::zeros(n, 4), trivial_clustering(n)).unwrap();
+        assert_eq!(cg.sources, vec![tie.index()]);
+        assert!(cg
+            .comb_schedule
+            .iter()
+            .all(|l| !l.nodes.contains(&tie.index())));
+    }
+
+    #[test]
+    fn clustered_levels_run_by_cluster() {
         let nl = pipeline_netlist();
         let n = nl.node_count();
         // Cluster by arbitrary two-group embedding.
@@ -215,9 +277,22 @@ mod tests {
             },
         );
         let cg = CircuitGraph::new(&nl, Tensor::zeros(n, 4), clusters.clone()).unwrap();
-        for g in &cg.comb_schedule {
-            for &node in &g.nodes {
-                assert_eq!(clusters.assignment[node], g.cluster);
+        for l in &cg.comb_schedule {
+            assert_eq!(l.run_bounds.len(), l.clusters.len() + 1);
+            assert!(
+                l.clusters.windows(2).all(|w| w[0] < w[1]),
+                "one run per cluster"
+            );
+            for (r, &c) in l.clusters.iter().enumerate() {
+                for &node in &l.nodes[l.run_bounds[r]..l.run_bounds[r + 1]] {
+                    assert_eq!(clusters.assignment[node], c);
+                }
+            }
+            let pin_bounds = l.pin_bounds();
+            for (r, w) in pin_bounds.windows(2).enumerate() {
+                for &slot in &l.pin_bias_index[w[0]..w[1]] {
+                    assert_eq!(slot / MAX_PINS, r, "pin bias row follows the run");
+                }
             }
         }
     }

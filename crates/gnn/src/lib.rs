@@ -5,12 +5,15 @@
 //! - [`cluster_nodes`]: DBSCAN + agglomerative refinement over LLM-derived
 //!   node embeddings and fan-in/fan-out structure — the *adaptive
 //!   aggregator* assignment of Fig. 5;
-//! - [`CircuitGraph`]: a netlist preprocessed into a level-ordered,
-//!   cluster/arity-batched update schedule with DFFs as sequential
+//! - [`CircuitGraph`]: a netlist preprocessed into a level-ordered update
+//!   schedule — one [`Level`] per combinational level, its nodes in
+//!   per-cluster runs and its fanins in CSR form — with DFFs as sequential
 //!   boundaries (pseudo primary inputs/outputs);
 //! - [`CircuitGnn`]: per-cluster attention aggregators with edge positional
 //!   encoding, *two-phase asynchronous temporal propagation* (forward
-//!   PI→DFF, then turnaround feedback; Fig. 4b), and mean-pooling readout
+//!   PI→DFF, then turnaround feedback; Fig. 4b) built as one batched tape
+//!   pass per level (gather, segment softmax, segment sum, gated update),
+//!   and mean-pooling readout
 //!   (Fig. 4c). Ablation switches reproduce the paper's "w/o adaptive
 //!   aggregator" and single-phase variants.
 //!
@@ -45,7 +48,7 @@ mod clustering;
 mod model;
 mod state_table;
 
-pub use circuit::{CircuitGraph, Group};
+pub use circuit::{CircuitGraph, Level, MAX_PINS};
 pub use clustering::{cluster_nodes, ClusterConfig, Clustering};
 pub use model::{CircuitGnn, GnnConfig, GnnOutput};
 pub use state_table::StateTable;

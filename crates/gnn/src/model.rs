@@ -2,14 +2,22 @@
 //! positional encoding (Fig. 5) and two-phase asynchronous temporal
 //! propagation (Fig. 4b), with a mean-pooling readout (Fig. 4c).
 //!
+//! Each round updates a combinational level in one batched tape pass —
+//! gather node and pin states, per-cluster projections, a segment softmax
+//! over each node's pins, a (weighted) segment sum and one gated update —
+//! then every DFF in one turnaround update.
+//!
 //! Ablation switches mirror the paper's model variants: the adaptive
 //! attention aggregator can be replaced by a uniform mean aggregator, and
 //! the turnaround (feedback) phase can be disabled.
 
 use moss_tensor::{Graph, ParamId, ParamStore, Tensor, Var};
 
-use crate::circuit::{CircuitGraph, Group};
+use crate::circuit::{CircuitGraph, Level, MAX_PINS};
 use crate::state_table::StateTable;
+
+#[cfg(test)]
+mod oracle;
 
 /// GNN hyperparameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -112,7 +120,8 @@ impl CircuitGnn {
                 // arbitrary weight before any training signal arrives.
                 wk: store.get_or_add(format!("gnn.agg{a}.wk"), Tensor::zeros(d, d)),
                 wv: mk(store, format!("gnn.agg{a}.wv"), d, d, s + 2),
-                pin_bias: store.get_or_add(format!("gnn.agg{a}.pin_bias"), Tensor::zeros(1, 3)),
+                pin_bias: store
+                    .get_or_add(format!("gnn.agg{a}.pin_bias"), Tensor::zeros(1, MAX_PINS)),
             });
         }
         CircuitGnn {
@@ -171,14 +180,11 @@ impl CircuitGnn {
     /// Builds the forward pass for several circuits on one shared tape,
     /// loading every parameter exactly once.
     ///
-    /// Every tensor op in the pass is row-independent with respect to the
-    /// circuit it serves (matmul row `i` depends only on input row `i` and
-    /// the full weight with a fixed k-summation order; gates, softmax, and
-    /// gathers are row-wise), so each circuit's outputs here are
-    /// bit-identical to a standalone [`CircuitGnn::forward`] call — the
-    /// batching a serving layer does never changes an answer. The win is
-    /// amortization: one tape, and one load per parameter instead of one
-    /// per circuit.
+    /// Each circuit still gets its own propagation passes, built from the
+    /// same op sequence a standalone [`CircuitGnn::forward`] call emits, so
+    /// each circuit's outputs here are bit-identical to it — the batching a
+    /// serving layer does never changes an answer. The win is amortization:
+    /// one tape, and one load per parameter instead of one per circuit.
     ///
     /// # Panics
     ///
@@ -190,227 +196,247 @@ impl CircuitGnn {
         store: &ParamStore,
         circuits: &[&CircuitGraph],
     ) -> Vec<GnnOutput> {
-        let w_in = g.param(self.w_in, store);
-        let b_in = g.param(self.b_in, store);
-
-        let up = GateWeights {
-            wz: g.param(self.wz, store),
-            uz: g.param(self.uz, store),
-            vz: Some(g.param(self.vz, store)),
-            bz: g.param(self.bz, store),
-            wh: g.param(self.wh, store),
-            uh: g.param(self.uh, store),
-            vh: Some(g.param(self.vh, store)),
-            bh: g.param(self.bh, store),
-        };
-        let dff_up = GateWeights {
-            wz: g.param(self.wdz, store),
-            uz: g.param(self.udz, store),
-            vz: None,
-            bz: g.param(self.bdz, store),
-            wh: g.param(self.wdh, store),
-            uh: g.param(self.udh, store),
-            vh: None,
-            bh: g.param(self.bdh, store),
-        };
-
-        // Per-aggregator weights loaded once per forward pass.
-        let aggs: Vec<(Var, Var, Var, Var)> = self
-            .aggs
-            .iter()
-            .map(|a| {
-                (
-                    g.param(a.wq, store),
-                    g.param(a.wk, store),
-                    g.param(a.wv, store),
-                    g.param(a.pin_bias, store),
-                )
-            })
-            .collect();
-
-        let w_ro = g.param(self.w_ro, store);
-        let b_ro = g.param(self.b_ro, store);
-
+        let w = self.load(g, store);
         circuits
             .iter()
-            .map(|circuit| {
-                assert_eq!(
-                    circuit.features.cols(),
-                    self.config.d_in,
-                    "feature width mismatch"
-                );
-                let x = g.input(circuit.features.clone());
-                let proj = g.matmul(x, w_in);
-                let proj = g.add_row(proj, b_in);
-                let h0 = g.tanh(proj);
-
-                let mut table = StateTable::new(h0, circuit.node_count);
-                for _ in 0..self.config.iterations {
-                    // Phase 1: forward propagation PI → DFF inputs, level
-                    // by level.
-                    for group in &circuit.comb_schedule {
-                        self.update_group(g, group, &mut table, h0, &aggs, &up);
-                    }
-                    // Phase 2: turnaround — DFF outputs capture their
-                    // D-side state.
-                    if self.config.two_phase {
-                        for group in &circuit.dff_schedule {
-                            let h_v = table.gather(g, &group.nodes);
-                            let h_d = table.gather(g, &group.fanins[0]);
-                            let new = gated_update(g, h_v, h_d, None, &dff_up);
-                            table.update(new, &group.nodes);
-                        }
-                    }
-                }
-
-                let states = table.assemble(g);
-                let pooled = g.mean_rows(states);
-                let ro = g.matmul(pooled, w_ro);
-                let ro = g.add_row(ro, b_ro);
-                let graph_embedding = g.tanh(ro);
-
-                GnnOutput {
-                    states,
-                    graph_embedding,
-                    h0,
-                }
-            })
+            .map(|circuit| self.propagate(g, &w, circuit))
             .collect()
     }
 
-    fn update_group(
+    /// Puts every parameter on the tape, with the gate weights stacked so
+    /// one matmul yields both gate pre-activations.
+    fn load(&self, g: &mut Graph, store: &ParamStore) -> Loaded {
+        let mut p = |id: ParamId| g.param(id, store);
+        let (wz, wh, uz, uh) = (p(self.wz), p(self.wh), p(self.uz), p(self.uh));
+        let (vz, vh, bz, bh) = (p(self.vz), p(self.vh), p(self.bz), p(self.bh));
+        let (wdz, wdh, udz, udh) = (p(self.wdz), p(self.wdh), p(self.udz), p(self.udh));
+        let (bdz, bdh) = (p(self.bdz), p(self.bdh));
+        let (w_in, b_in, w_ro, b_ro) = (p(self.w_in), p(self.b_in), p(self.w_ro), p(self.b_ro));
+        let aggs: Vec<AggVars> = self
+            .aggs
+            .iter()
+            .map(|a| AggVars {
+                wq: p(a.wq),
+                wk: p(a.wk),
+                wv: p(a.wv),
+                pin_bias: p(a.pin_bias),
+            })
+            .collect();
+        Loaded {
+            w_in,
+            b_in,
+            up: stack_gate(g, wz, wh, uz, uh),
+            h0_up: g.concat_cols(vz, vh),
+            up_bias: g.concat_cols(bz, bh),
+            dff_up: stack_gate(g, wdz, wdh, udz, udh),
+            dff_bias: g.concat_cols(bdz, bdh),
+            aggs,
+            w_ro,
+            b_ro,
+        }
+    }
+
+    /// One circuit's two-phase propagation and readout.
+    fn propagate(&self, g: &mut Graph, w: &Loaded, circuit: &CircuitGraph) -> GnnOutput {
+        assert_eq!(
+            circuit.features.cols(),
+            self.config.d_in,
+            "feature width mismatch"
+        );
+        let x = g.input(circuit.features.clone());
+        let proj = g.matmul(x, w.w_in);
+        let proj = g.add_row(proj, w.b_in);
+        let h0 = g.tanh(proj);
+        // `h0·[Vz | Vh] + [bz | bh]` does not change across rounds: computed
+        // once here, gathered per level.
+        let h0_gate = g.matmul(h0, w.h0_up);
+        let h0_gate = g.add_row(h0_gate, w.up_bias);
+
+        let mut table = StateTable::new(h0, circuit.node_count);
+        for _ in 0..self.config.iterations {
+            // Phase 1: forward propagation PI → DFF inputs. Fanin-less
+            // cells read nothing, so they go first; their message is their
+            // own projected features.
+            if !circuit.sources.is_empty() {
+                let nodes = &circuit.sources;
+                let h = table.gather(g, nodes);
+                let msg = g.gather_rows(h0, nodes);
+                let new = combinational_update(g, w, h, msg, h0_gate, nodes);
+                table.update(new, nodes);
+            }
+            for level in &circuit.comb_schedule {
+                self.update_level(g, w, level, &mut table, h0_gate);
+            }
+            // Phase 2: turnaround — every DFF output captures its D-side
+            // state at once, like a clock edge.
+            if self.config.two_phase && !circuit.dff_nodes.is_empty() {
+                let h = table.gather(g, &circuit.dff_nodes);
+                let d_side = table.gather(g, &circuit.dff_fanins);
+                let pre = gate_preactivation(g, h, d_side, w.dff_up);
+                let pre = g.add_row(pre, w.dff_bias);
+                let new = gated_update(g, h, pre);
+                table.update(new, &circuit.dff_nodes);
+            }
+        }
+
+        let states = table.assemble(g);
+        let pooled = g.mean_rows(states);
+        let ro = g.matmul(pooled, w.w_ro);
+        let ro = g.add_row(ro, w.b_ro);
+        let graph_embedding = g.tanh(ro);
+        GnnOutput {
+            states,
+            graph_embedding,
+            h0,
+        }
+    }
+
+    /// Updates every node of one level in a single batched pass: gather the
+    /// node and pin states, project with each node's aggregator, attend
+    /// over each node's pins (segment softmax + weighted segment sum; a
+    /// segment mean without attention or when no node has two pins), then
+    /// one gated update.
+    fn update_level(
         &self,
         g: &mut Graph,
-        group: &Group,
+        w: &Loaded,
+        level: &Level,
         table: &mut StateTable,
-        h0: Var,
-        aggs: &[(Var, Var, Var, Var)],
-        up: &GateWeights,
+        h0_gate: Var,
     ) {
+        let last = *level.clusters.last().expect("a level has nodes");
         assert!(
-            group.cluster < aggs.len(),
-            "cluster {} exceeds aggregator count {}",
-            group.cluster,
-            aggs.len()
+            last < w.aggs.len(),
+            "cluster {last} exceeds aggregator count {}",
+            w.aggs.len()
         );
-        let d = self.config.d_hidden;
-        let h_v = table.gather(g, &group.nodes);
-        let h0_v = g.gather_rows(h0, &group.nodes);
-
-        let msg = if group.arity == 0 {
-            None
+        let h = table.gather(g, &level.nodes);
+        let pins = table.gather(g, &level.fanins);
+        let pin_bounds = level.pin_bounds();
+        let values = project(g, pins, &w.aggs, level, &pin_bounds, |a| a.wv);
+        let msg = if self.config.attention && level.max_arity > 1 {
+            let q = project(g, h, &w.aggs, level, &level.run_bounds, |a| a.wq);
+            let k = project(g, pins, &w.aggs, level, &pin_bounds, |a| a.wk);
+            let bias = match level.clusters.as_slice() {
+                &[c] => w.aggs[c].pin_bias,
+                many => {
+                    let rows: Vec<Var> = many.iter().map(|&c| w.aggs[c].pin_bias).collect();
+                    g.concat_rows(&rows)
+                }
+            };
+            let scale = 1.0 / (self.config.d_hidden as f32).sqrt();
+            let alpha = g.segment_softmax(
+                q,
+                k,
+                bias,
+                &level.pin_bias_index,
+                &level.fanin_offsets,
+                scale,
+            );
+            g.segment_sum(values, alpha, &level.fanin_offsets)
         } else {
-            let (wq, wk, wv, pin_bias) = aggs[group.cluster];
-            let pin_states: Vec<Var> = (0..group.arity)
-                .map(|p| table.gather(g, &group.fanins[p]))
-                .collect();
-            // Fuse the per-pin projections into one stacked matmul: matmul
-            // is row-independent, so projecting the row-concatenation and
-            // gathering it back per pin is exactly the per-pin result while
-            // handing the backend one large matrix whose row blocks the
-            // persistent pool can spread across workers.
-            let rows = group.nodes.len();
-            let stacked_pins = g.concat_rows(&pin_states);
-            let stacked_values = g.matmul(stacked_pins, wv);
-            let pin_rows: Vec<Vec<usize>> = (0..group.arity)
-                .map(|p| (p * rows..(p + 1) * rows).collect())
-                .collect();
-            let values: Vec<Var> = pin_rows
-                .iter()
-                .map(|idx| g.gather_rows(stacked_values, idx))
-                .collect();
-            if self.config.attention && group.arity > 1 {
-                // Additive-free dot-product attention with edge positional
-                // encoding: score_p = (q·k_p)/√d + bias_p.
-                let q = g.matmul(h_v, wq);
-                let ones = g.input(Tensor::full(d, 1, 1.0));
-                let stacked_keys = g.matmul(stacked_pins, wk);
-                let mut scores: Vec<Var> = Vec::with_capacity(group.arity);
-                for idx in &pin_rows {
-                    let k = g.gather_rows(stacked_keys, idx);
-                    let qk = g.mul(q, k);
-                    let s = g.matmul(qk, ones);
-                    scores.push(g.scale(s, 1.0 / (d as f32).sqrt()));
-                }
-                let mut stacked = scores[0];
-                for &s in &scores[1..] {
-                    stacked = g.concat_cols(stacked, s);
-                }
-                let bias = g.slice_cols(pin_bias, 0, group.arity);
-                let stacked = g.add_row(stacked, bias);
-                let alpha = g.softmax_rows(stacked);
-                let mut acc: Option<Var> = None;
-                for (p, &v) in values.iter().enumerate() {
-                    let a_p = g.slice_cols(alpha, p, 1);
-                    let contrib = g.mul_col(v, a_p);
-                    acc = Some(match acc {
-                        Some(prev) => g.add(prev, contrib),
-                        None => contrib,
-                    });
-                }
-                acc
-            } else {
-                // Uniform mean aggregation (ablation path / single fanin).
-                let mut acc = values[0];
-                for &v in &values[1..] {
-                    acc = g.add(acc, v);
-                }
-                Some(g.scale(acc, 1.0 / group.arity as f32))
-            }
+            g.segment_mean(values, &level.fanin_offsets)
         };
-
-        let msg = msg.unwrap_or(h0_v);
-        let new = gated_update(g, h_v, msg, Some(h0_v), up);
-        table.update(new, &group.nodes);
+        let new = combinational_update(g, w, h, msg, h0_gate, &level.nodes);
+        table.update(new, &level.nodes);
     }
 }
 
-/// Parameter handles for one gated update.
+/// Per-aggregator attention weights on the tape.
 #[derive(Debug, Clone, Copy)]
-struct GateWeights {
-    wz: Var,
-    uz: Var,
-    vz: Option<Var>,
-    bz: Var,
-    wh: Var,
-    uh: Var,
-    vh: Option<Var>,
-    bh: Var,
+struct AggVars {
+    wq: Var,
+    wk: Var,
+    wv: Var,
+    pin_bias: Var,
 }
 
-/// GRU-style gated state update:
-/// `z = σ(hWz + mUz [+ h0Vz] + bz)`, `h̃ = tanh(hWh + mUh [+ h0Vh] + bh)`,
-/// `h' = (1−z)∘h + z∘h̃` — the asynchronous-update family the DeepSeq line
-/// established and MOSS adopts (§IV-B).
-fn gated_update(g: &mut Graph, h: Var, m: Var, h0: Option<Var>, w: &GateWeights) -> Var {
-    let (n, d) = g.value(h).shape();
-    let mut zsum = {
-        let a = g.matmul(h, w.wz);
-        let b = g.matmul(m, w.uz);
-        g.add(a, b)
-    };
-    if let (Some(h0), Some(vz)) = (h0, w.vz) {
-        let c = g.matmul(h0, vz);
-        zsum = g.add(zsum, c);
+/// Every parameter of one forward pass, loaded onto the tape once.
+#[derive(Debug)]
+struct Loaded {
+    w_in: Var,
+    b_in: Var,
+    /// `[[Wz Wh]; [Uz Uh]]`: `[h | m]` times this is both gates' state and
+    /// message terms.
+    up: Var,
+    /// `[Vz | Vh]`, applied to `h0`.
+    h0_up: Var,
+    /// `[bz | bh]`.
+    up_bias: Var,
+    /// `[[Wdz Wdh]; [Udz Udh]]` for the turnaround update.
+    dff_up: Var,
+    /// `[bdz | bdh]`.
+    dff_bias: Var,
+    aggs: Vec<AggVars>,
+    w_ro: Var,
+    b_ro: Var,
+}
+
+/// `[[w_z w_h]; [u_z u_h]]` (`2d × 2d`).
+fn stack_gate(g: &mut Graph, w_z: Var, w_h: Var, u_z: Var, u_h: Var) -> Var {
+    let top = g.concat_cols(w_z, w_h);
+    let bottom = g.concat_cols(u_z, u_h);
+    g.concat_rows(&[top, bottom])
+}
+
+/// `x` times the aggregator weight `pick` of each row's cluster: a plain
+/// matmul when the level has one cluster, else one row-segmented matmul
+/// over `bounds` (the level's cluster runs, in `x`'s rows).
+fn project(
+    g: &mut Graph,
+    x: Var,
+    aggs: &[AggVars],
+    level: &Level,
+    bounds: &[usize],
+    pick: fn(&AggVars) -> Var,
+) -> Var {
+    match level.clusters.as_slice() {
+        &[c] => g.matmul(x, pick(&aggs[c])),
+        many => {
+            let weights: Vec<Var> = many.iter().map(|&c| pick(&aggs[c])).collect();
+            g.segment_matmul(x, &weights, bounds)
+        }
     }
-    let zsum = g.add_row(zsum, w.bz);
-    let z = g.sigmoid(zsum);
-    let mut hsum = {
-        let a = g.matmul(h, w.wh);
-        let b = g.matmul(m, w.uh);
-        g.add(a, b)
-    };
-    if let (Some(h0), Some(vh)) = (h0, w.vh) {
-        let c = g.matmul(h0, vh);
-        hsum = g.add(hsum, c);
-    }
-    let hsum = g.add_row(hsum, w.bh);
-    let cand = g.tanh(hsum);
-    let ones = g.input(Tensor::full(n, d, 1.0));
-    let keep = g.sub(ones, z);
-    let a = g.mul(keep, h);
-    let b = g.mul(z, cand);
-    g.add(a, b)
+}
+
+/// `[h | m]·W` for a stacked gate weight `W`: both gates' pre-activations
+/// (`n × 2d`) before the node-specific offset.
+fn gate_preactivation(g: &mut Graph, h: Var, m: Var, w: Var) -> Var {
+    let hm = g.concat_cols(h, m);
+    g.matmul(hm, w)
+}
+
+/// The combinational gated update of `nodes`, whose states are `h` and
+/// messages `m`; the `h0` term and bias come precomputed in `h0_gate`.
+fn combinational_update(
+    g: &mut Graph,
+    w: &Loaded,
+    h: Var,
+    m: Var,
+    h0_gate: Var,
+    nodes: &[usize],
+) -> Var {
+    let pre = gate_preactivation(g, h, m, w.up);
+    let offset = g.gather_rows(h0_gate, nodes);
+    let pre = g.add(pre, offset);
+    gated_update(g, h, pre)
+}
+
+/// GRU-style gated state update from stacked pre-activations
+/// `pre = [z_pre | h̃_pre]`: `z = σ(z_pre)`, `h̃ = tanh(h̃_pre)`,
+/// `h' = (1−z)∘h + z∘h̃`, computed as `h + z∘(h̃ − h)` — the
+/// asynchronous-update family the DeepSeq line established and MOSS adopts
+/// (§IV-B). With `[h | m | h0]` inputs, `z_pre = hWz + mUz [+ h0Vz] + bz`
+/// and likewise for `h̃_pre`.
+fn gated_update(g: &mut Graph, h: Var, pre: Var) -> Var {
+    let d = g.value(h).cols();
+    let z_pre = g.slice_cols(pre, 0, d);
+    let z = g.sigmoid(z_pre);
+    let cand_pre = g.slice_cols(pre, d, d);
+    let cand = g.tanh(cand_pre);
+    let delta = g.sub(cand, h);
+    let step = g.mul(z, delta);
+    g.add(h, step)
 }
 
 #[cfg(test)]
@@ -419,7 +445,7 @@ mod tests {
     use crate::circuit::CircuitGraph;
     use crate::clustering::Clustering;
     use moss_netlist::{CellKind, Netlist};
-    use moss_tensor::Adam;
+    use moss_tensor::{Adam, Gradients};
 
     fn ring_counter() -> Netlist {
         let mut nl = Netlist::new("ring");
@@ -507,7 +533,7 @@ mod tests {
         assert!(attn_emb.distance(&mean_emb) < 1e-6, "starts as mean");
 
         // …and different once the keys move off zero (set every
-        // aggregator's keys; only clusters with multi-pin groups engage).
+        // aggregator's keys; only levels with multi-pin nodes engage).
         for a in 0..6 {
             let wk = store.find(&format!("gnn.agg{a}.wk")).unwrap();
             store.set(wk, Tensor::xavier(16, 16, 99 + a as u64));
@@ -573,6 +599,150 @@ mod tests {
                 gs.value(single.graph_embedding)
             );
         }
+    }
+
+    /// A random netlist plus a tie cell feeding a gate: sources, mixed
+    /// arities, DFF feedback (including DFF→DFF) and primary outputs.
+    fn random_circuit(seed: u64, cells: usize) -> Netlist {
+        let mut nl = moss_datagen::random_netlist(seed, cells);
+        let tie = nl.add_cell(CellKind::Tie1, "tie", &[]).unwrap();
+        let a = nl.find("i0").unwrap();
+        let user = nl.add_cell(CellKind::Nand2, "tie_user", &[tie, a]).unwrap();
+        nl.add_output("tie_out", user);
+        nl
+    }
+
+    fn features(n: usize, d_in: usize) -> Tensor {
+        let mut features = Tensor::zeros(n, d_in);
+        for i in 0..n {
+            for j in 0..d_in {
+                features.set(i, j, ((i * 31 + j * 7) % 13) as f32 / 13.0 - 0.5);
+            }
+        }
+        features
+    }
+
+    /// A model whose attention is not uniform: random keys and pin biases
+    /// in every aggregator.
+    fn engaged_model(cfg: GnnConfig) -> (CircuitGnn, ParamStore) {
+        let mut store = ParamStore::new();
+        let gnn = CircuitGnn::new(cfg, &mut store, 17);
+        for a in 0..cfg.aggregators {
+            let wk = store.find(&format!("gnn.agg{a}.wk")).unwrap();
+            store.set(wk, Tensor::xavier(16, 16, 300 + a as u64));
+            let bias = store.find(&format!("gnn.agg{a}.pin_bias")).unwrap();
+            store.set(bias, Tensor::xavier(1, 3, 400 + a as u64));
+        }
+        (gnn, store)
+    }
+
+    /// States, graph embedding and parameter gradients of a loss that reads
+    /// every state row.
+    fn run(build: impl FnOnce(&mut Graph) -> GnnOutput) -> (Tensor, Tensor, Gradients) {
+        let mut g = Graph::new();
+        let out = build(&mut g);
+        let (n, d) = g.value(out.states).shape();
+        let r = g.input(Tensor::xavier(n, d, 77));
+        let weighted = g.mul(out.states, r);
+        let a = g.sum_all(weighted);
+        let b = g.smooth_l1(out.graph_embedding, Tensor::xavier(1, d, 78));
+        let loss = g.add(a, b);
+        let (states, emb) = (
+            g.value(out.states).clone(),
+            g.value(out.graph_embedding).clone(),
+        );
+        (states, emb, g.backward(loss))
+    }
+
+    /// Largest `|a − b|` relative to `max(1, max |b|)`.
+    fn rel_diff(a: &[f32], b: &[f32]) -> f32 {
+        assert_eq!(a.len(), b.len());
+        let scale = b.iter().fold(1.0f32, |m, x| m.max(x.abs()));
+        a.iter()
+            .zip(b)
+            .fold(0.0f32, |m, (x, y)| m.max((x - y).abs()))
+            / scale
+    }
+
+    #[test]
+    fn level_forward_matches_per_group_oracle() {
+        let mut multi_cluster_levels = 0;
+        for (seed, cells) in [(11, 120), (12, 90)] {
+            let nl = random_circuit(seed, cells);
+            let n = nl.node_count();
+            let assignments: [Vec<usize>; 3] = [
+                vec![0; n],
+                (0..n).map(|i| i % 3).collect(),
+                (0..n).map(|i| (i * 7 + i / 5) % 5).collect(),
+            ];
+            for assignment in assignments {
+                let count = assignment.iter().max().unwrap() + 1;
+                let clusters = Clustering { assignment, count };
+                let circuit = CircuitGraph::new(&nl, features(n, 8), clusters).unwrap();
+                assert!(!circuit.sources.is_empty() && !circuit.dff_nodes.is_empty());
+                multi_cluster_levels += circuit
+                    .comb_schedule
+                    .iter()
+                    .filter(|l| l.clusters.len() >= 3 && l.max_arity > 1)
+                    .count();
+                for attention in [true, false] {
+                    for two_phase in [true, false] {
+                        let cfg = GnnConfig {
+                            attention,
+                            two_phase,
+                            ..GnnConfig::small(8)
+                        };
+                        let (gnn, store) = engaged_model(cfg);
+                        let (s1, e1, g1) = run(|g| gnn.forward(g, &store, &circuit));
+                        let (s2, e2, g2) = run(|g| oracle::forward(&gnn, g, &store, &nl, &circuit));
+                        let case = format!("seed {seed}, {count} clusters, {cfg:?}");
+                        assert!(rel_diff(s1.data(), s2.data()) < 1e-5, "states: {case}");
+                        assert!(rel_diff(e1.data(), e2.data()) < 1e-5, "embedding: {case}");
+                        for id in gnn.param_ids() {
+                            let zeros = || Tensor::zeros(1, 1);
+                            let (a, b) = (g1.get(id), g2.get(id));
+                            let b = b
+                                .cloned()
+                                .unwrap_or_else(|| a.map_or_else(zeros, |a| a.map(|_| 0.0)));
+                            let a = a.cloned().unwrap_or_else(|| b.map(|_| 0.0));
+                            let diff = rel_diff(a.data(), b.data());
+                            assert!(
+                                diff < 1e-5,
+                                "gradient of {}: {diff} ({case})",
+                                store.name(id)
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            multi_cluster_levels > 0,
+            "≥3-cluster attention levels exercised"
+        );
+    }
+
+    #[test]
+    fn forward_tape_is_linear_in_levels() {
+        // Per level: 2 gathers, 3 projections, segment softmax and sum,
+        // then the gate (concat, matmul, h0-term gather, add, 7 ops); the
+        // extra level covers the turnaround update. Parameter loads, the
+        // input projection and the readout are the constant.
+        let nl = moss_datagen::random_netlist(7, 400);
+        let n = nl.node_count();
+        let clusters = Clustering {
+            assignment: vec![0; n],
+            count: 1,
+        };
+        let circuit = CircuitGraph::new(&nl, features(n, 8), clusters).unwrap();
+        let cfg = GnnConfig::small(8);
+        let (gnn, store) = engaged_model(cfg);
+        let mut g = Graph::new();
+        let _ = gnn.forward(&mut g, &store, &circuit);
+        let levels = circuit.comb_schedule.len();
+        let budget = 18 * (levels + 1) * cfg.iterations + 64;
+        assert!(levels > 10, "a deep enough circuit ({levels} levels)");
+        assert!(g.len() <= budget, "{} tape ops > budget {budget}", g.len());
     }
 
     #[test]

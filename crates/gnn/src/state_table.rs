@@ -1,73 +1,51 @@
-//! Chunked node-state tracking for asynchronous propagation.
+//! Per-node state tracking for asynchronous propagation.
 //!
-//! Keeping all node states in one `n × d` tape variable makes every
-//! level-group update clone the full matrix (scatter) and every message
-//! gather allocate full-size gradients — O(n) work *per group* instead of
-//! per node. [`StateTable`] instead records each group's output as its own
-//! chunk and assembles the full matrix only once for readout, making one
-//! propagation sweep O(total nodes) regardless of group count.
+//! Keeping all node states in one `n × d` tape variable would make every
+//! level update clone the full matrix (scatter) and every message gather
+//! allocate full-size gradients — O(n) work *per level* instead of per
+//! node. [`StateTable`] instead records each level's output as its own
+//! tape variable and remembers, per node, which variable and row hold its
+//! current state. Every read is one multi-source gather, so one
+//! propagation sweep is O(total nodes) and one tape op per read.
 
 use moss_tensor::{Graph, Var};
 
-/// Tracks which tape variable currently holds each node's state.
+/// Tracks which tape variable (and row) currently holds each node's state.
 #[derive(Debug, Clone)]
 pub struct StateTable {
-    /// node → (chunk index, row within chunk).
-    loc: Vec<(u32, u32)>,
-    chunks: Vec<Var>,
+    loc: Vec<(Var, usize)>,
 }
 
 impl StateTable {
     /// All nodes start in `initial` (an `n × d` variable), row = node index.
     pub fn new(initial: Var, n: usize) -> StateTable {
         StateTable {
-            loc: (0..n).map(|i| (0, i as u32)).collect(),
-            chunks: vec![initial],
+            loc: (0..n).map(|i| (initial, i)).collect(),
         }
     }
 
-    /// Gathers the current states of `nodes` into a `|nodes| × d` variable,
-    /// splitting into per-chunk gathers and concatenating.
+    /// Gathers the current states of `nodes` into a `|nodes| × d` variable
+    /// with one tape op, however many updates the rows come from.
     ///
     /// # Panics
     ///
     /// Panics if `nodes` is empty or any index is out of range.
     pub fn gather(&self, g: &mut Graph, nodes: &[usize]) -> Var {
-        assert!(!nodes.is_empty(), "gather of nothing");
-        let mut parts: Vec<Var> = Vec::new();
-        let mut run_chunk = self.loc[nodes[0]].0;
-        let mut run_rows: Vec<usize> = Vec::new();
-        for &node in nodes {
-            let (chunk, row) = self.loc[node];
-            if chunk != run_chunk {
-                parts.push(g.gather_rows(self.chunks[run_chunk as usize], &run_rows));
-                run_rows.clear();
-                run_chunk = chunk;
-            }
-            run_rows.push(row as usize);
-        }
-        parts.push(g.gather_rows(self.chunks[run_chunk as usize], &run_rows));
-        if parts.len() == 1 {
-            parts[0]
-        } else {
-            g.concat_rows(&parts)
-        }
+        let rows: Vec<(Var, usize)> = nodes.iter().map(|&node| self.loc[node]).collect();
+        g.gather_multi(&rows)
     }
 
     /// Records `new` (a `|nodes| × d` variable) as the fresh state of
     /// `nodes`.
     pub fn update(&mut self, new: Var, nodes: &[usize]) {
-        let chunk = self.chunks.len() as u32;
-        self.chunks.push(new);
         for (row, &node) in nodes.iter().enumerate() {
-            self.loc[node] = (chunk, row as u32);
+            self.loc[node] = (new, row);
         }
     }
 
-    /// Assembles the full `n × d` state matrix in node order.
+    /// Assembles the full `n × d` state matrix in node order (one op).
     pub fn assemble(&self, g: &mut Graph) -> Var {
-        let all: Vec<usize> = (0..self.loc.len()).collect();
-        self.gather(g, &all)
+        g.gather_multi(&self.loc)
     }
 }
 
@@ -99,11 +77,27 @@ mod tests {
     fn consecutive_same_chunk_nodes_use_one_gather() {
         let mut g = Graph::new();
         let init = g.input(Tensor::zeros(8, 2));
-        let table = StateTable::new(init, 8);
+        let mut table = StateTable::new(init, 8);
         let before = g.len();
         let _ = table.gather(&mut g, &[2, 3, 4]);
         // Single chunk → exactly one gather op, no concat.
         assert_eq!(g.len() - before, 1);
+
+        // Rows from four chunks are still one gather, and so is assembly.
+        for (k, nodes) in [[1, 3], [4, 6], [0, 7]].iter().enumerate() {
+            let fresh = g.input(Tensor::full(2, 2, k as f32 + 1.0));
+            table.update(fresh, nodes);
+        }
+        let before = g.len();
+        let mix = table.gather(&mut g, &[7, 2, 3, 4, 0]);
+        assert_eq!(g.len() - before, 1, "four sources, one gather");
+        assert_eq!(
+            g.value(mix).data(),
+            &[3.0, 3.0, 0.0, 0.0, 1.0, 1.0, 2.0, 2.0, 3.0, 3.0]
+        );
+        let before = g.len();
+        let _ = table.assemble(&mut g);
+        assert_eq!(g.len() - before, 1, "assembly is one op");
     }
 
     #[test]

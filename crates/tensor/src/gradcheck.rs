@@ -183,4 +183,49 @@ mod tests {
         });
         assert!(err < 2e-2, "max relative gradient error {err}");
     }
+
+    #[test]
+    fn segment_softmax_and_sums_check_out() {
+        // Four segments over six key rows: lengths 3, 0, 1 and 2.
+        let offsets = [0, 3, 3, 4, 6];
+        let bias_index = [0, 1, 2, 3, 4, 5];
+        let mut store = ParamStore::new();
+        let q = store.add("q", Tensor::xavier(4, 3, 31));
+        let k = store.add("k", Tensor::xavier(6, 3, 32));
+        let bias = store.add("bias", Tensor::xavier(2, 3, 33));
+        let v = store.add("v", Tensor::xavier(6, 2, 34));
+        let err = max_gradient_error(&mut store, &[q, k, bias, v], |g, s| {
+            let (qv, kv, bv, vv) = (
+                g.param(q, s),
+                g.param(k, s),
+                g.param(bias, s),
+                g.param(v, s),
+            );
+            let alpha = g.segment_softmax(qv, kv, bv, &bias_index, &offsets, 0.7);
+            let weighted = g.segment_sum(vv, alpha, &offsets);
+            let mean = g.segment_mean(vv, &offsets);
+            let both = g.concat_cols(weighted, mean);
+            let t = g.tanh(both);
+            g.smooth_l1(t, Tensor::xavier(4, 4, 35))
+        });
+        assert!(err < 2e-2, "max relative gradient error {err}");
+    }
+
+    #[test]
+    fn segment_matmul_and_gather_multi_check_out() {
+        let mut store = ParamStore::new();
+        let a = store.add("a", Tensor::xavier(5, 3, 41));
+        let w1 = store.add("w1", Tensor::xavier(3, 2, 42));
+        let w2 = store.add("w2", Tensor::xavier(3, 2, 43));
+        let err = max_gradient_error(&mut store, &[a, w1, w2], |g, s| {
+            let (av, w1v, w2v) = (g.param(a, s), g.param(w1, s), g.param(w2, s));
+            // An empty middle segment and a weight used twice.
+            let y = g.segment_matmul(av, &[w1v, w2v, w1v], &[0, 2, 2, 5]);
+            let t = g.tanh(y);
+            let picked = g.gather_multi(&[(y, 1), (t, 0), (y, 1), (t, 4), (y, 3)]);
+            let h = g.sigmoid(picked);
+            g.mean_all(h)
+        });
+        assert!(err < 2e-2, "max relative gradient error {err}");
+    }
 }

@@ -68,7 +68,7 @@ impl Gradients {
     }
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum Op {
     Leaf,
     Param(ParamId),
@@ -102,12 +102,40 @@ enum Op {
     SmoothL1Weighted(Var, Tensor, Tensor),
     CrossEntropyRows(Var, Vec<usize>),
     CrossEntropyCols(Var, Vec<usize>),
+    /// Output row `i` is row `rows[i].1` of `rows[i].0`.
+    GatherMulti(Vec<(Var, usize)>),
+    /// Rows `bounds[s]..bounds[s + 1]` of `a` times `weights[s]`.
+    SegmentMatMul {
+        a: Var,
+        weights: Vec<Var>,
+        bounds: Vec<usize>,
+    },
+    /// Per-segment softmax of `scale·(q_i·k_p) + bias[bias_index[p]]`.
+    SegmentSoftmax {
+        q: Var,
+        k: Var,
+        bias: Var,
+        bias_index: Vec<usize>,
+        offsets: Vec<usize>,
+        scale: f32,
+    },
+    /// Per-segment weighted sum of value rows, or their mean without
+    /// weights.
+    SegmentSum {
+        values: Var,
+        weights: Option<Var>,
+        offsets: Vec<usize>,
+    },
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Node {
     op: Op,
     value: Tensor,
+    /// Whether a parameter is upstream of this node, i.e. whether
+    /// [`Graph::backward`] needs its gradient. `false` for inputs and for
+    /// anything computed from inputs alone.
+    requires_grad: bool,
 }
 
 /// An autograd tape.
@@ -176,8 +204,63 @@ impl Graph {
     }
 
     fn push(&mut self, op: Op, value: Tensor) -> Var {
-        self.nodes.push(Node { op, value });
+        let requires_grad = self.op_requires_grad(&op);
+        self.nodes.push(Node {
+            op,
+            value,
+            requires_grad,
+        });
         Var(self.nodes.len() - 1)
+    }
+
+    /// Whether [`Graph::backward`] produces a gradient for `v`: true exactly
+    /// when a parameter is upstream of it.
+    fn requires_grad(&self, v: Var) -> bool {
+        self.nodes[v.0].requires_grad
+    }
+
+    fn op_requires_grad(&self, op: &Op) -> bool {
+        let rg = |v: &Var| self.requires_grad(*v);
+        match op {
+            Op::Leaf => false,
+            Op::Param(_) => true,
+            Op::MatMul(a, b)
+            | Op::Add(a, b)
+            | Op::Sub(a, b)
+            | Op::Mul(a, b)
+            | Op::AddRow(a, b)
+            | Op::MulScalarVar(a, b)
+            | Op::ConcatCols(a, b)
+            | Op::ScatterRows(a, b, _)
+            | Op::MulCol(a, b) => rg(a) || rg(b),
+            Op::Scale(a, _)
+            | Op::Transpose(a)
+            | Op::Relu(a)
+            | Op::Gelu(a)
+            | Op::Tanh(a)
+            | Op::Sigmoid(a)
+            | Op::Exp(a)
+            | Op::SoftmaxRows(a)
+            | Op::MeanRows(a)
+            | Op::SumAll(a)
+            | Op::MeanAll(a)
+            | Op::SliceCols(a, _, _)
+            | Op::GatherRows(a, _)
+            | Op::L2NormalizeRows(a)
+            | Op::LayerNormRows(a)
+            | Op::Dropout(a, _)
+            | Op::SmoothL1(a, _)
+            | Op::SmoothL1Weighted(a, _, _)
+            | Op::CrossEntropyRows(a, _)
+            | Op::CrossEntropyCols(a, _) => rg(a),
+            Op::ConcatRows(parts) => parts.iter().any(rg),
+            Op::GatherMulti(rows) => rows.iter().any(|(v, _)| rg(v)),
+            Op::SegmentMatMul { a, weights, .. } => rg(a) || weights.iter().any(rg),
+            Op::SegmentSoftmax { q, k, bias, .. } => rg(q) || rg(k) || rg(bias),
+            Op::SegmentSum {
+                values, weights, ..
+            } => rg(values) || weights.as_ref().is_some_and(rg),
+        }
     }
 
     /// A constant input (no gradient).
@@ -240,10 +323,10 @@ impl Graph {
             "broadcast row must be 1×{d}"
         );
         let mut out = self.value(a).clone();
+        let r = self.value(row).data();
         for i in 0..n {
-            for j in 0..d {
-                let v = out.get(i, j) + self.value(row).get(0, j);
-                out.set(i, j, v);
+            for (o, &b) in out.row_slice_mut(i).iter_mut().zip(r) {
+                *o += b;
             }
         }
         self.push(Op::AddRow(a, row), out)
@@ -338,16 +421,12 @@ impl Graph {
         let (na, ca) = self.value(a).shape();
         let (nb, cb) = self.value(b).shape();
         assert_eq!(na, nb, "concat_cols row mismatch");
-        let mut out = Tensor::zeros(na, ca + cb);
+        let mut data = Vec::with_capacity(na * (ca + cb));
         for i in 0..na {
-            for j in 0..ca {
-                out.set(i, j, self.value(a).get(i, j));
-            }
-            for j in 0..cb {
-                out.set(i, ca + j, self.value(b).get(i, j));
-            }
+            data.extend_from_slice(self.value(a).row_slice(i));
+            data.extend_from_slice(self.value(b).row_slice(i));
         }
-        self.push(Op::ConcatCols(a, b), out)
+        self.push(Op::ConcatCols(a, b), Tensor::from_vec(data, na, ca + cb))
     }
 
     /// Vertical concatenation of several tensors sharing a column count.
@@ -370,13 +449,11 @@ impl Graph {
     pub fn slice_cols(&mut self, a: Var, start: usize, len: usize) -> Var {
         let (n, c) = self.value(a).shape();
         assert!(start + len <= c, "slice_cols out of range");
-        let mut out = Tensor::zeros(n, len);
+        let mut data = Vec::with_capacity(n * len);
         for i in 0..n {
-            for j in 0..len {
-                out.set(i, j, self.value(a).get(i, start + j));
-            }
+            data.extend_from_slice(&self.value(a).row_slice(i)[start..start + len]);
         }
-        self.push(Op::SliceCols(a, start, len), out)
+        self.push(Op::SliceCols(a, start, len), Tensor::from_vec(data, n, len))
     }
 
     /// Gathers rows by index (embedding lookup); backward scatter-adds.
@@ -386,13 +463,12 @@ impl Graph {
     /// Panics if any index is out of range.
     pub fn gather_rows(&mut self, a: Var, indices: &[usize]) -> Var {
         let (n, d) = self.value(a).shape();
-        let mut out = Tensor::zeros(indices.len(), d);
-        for (i, &idx) in indices.iter().enumerate() {
+        let mut data = Vec::with_capacity(indices.len() * d);
+        for &idx in indices {
             assert!(idx < n, "gather index {idx} out of range");
-            for j in 0..d {
-                out.set(i, j, self.value(a).get(idx, j));
-            }
+            data.extend_from_slice(self.value(a).row_slice(idx));
         }
+        let out = Tensor::from_vec(data, indices.len(), d);
         self.push(Op::GatherRows(a, indices.to_vec()), out)
     }
 
@@ -431,20 +507,187 @@ impl Graph {
     ///
     /// Panics if `col` is not `n×1`.
     pub fn mul_col(&mut self, a: Var, col: Var) -> Var {
-        let (n, d) = self.value(a).shape();
+        let n = self.value(a).rows();
         assert_eq!(
             self.value(col).shape(),
             (n, 1),
             "broadcast column must be {n}×1"
         );
         let mut out = self.value(a).clone();
-        for i in 0..n {
-            let c = self.value(col).get(i, 0);
-            for j in 0..d {
-                out.set(i, j, out.get(i, j) * c);
+        for (i, &c) in self.value(col).data().iter().enumerate() {
+            for o in out.row_slice_mut(i) {
+                *o *= c;
             }
         }
         self.push(Op::MulCol(a, col), out)
+    }
+
+    /// Multi-source gather: output row `i` is row `rows[i].1` of
+    /// `rows[i].0`. One op however many tensors the rows come from; backward
+    /// scatter-adds into each source.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` is empty, a row index is out of range, or the
+    /// sources' column counts differ.
+    pub fn gather_multi(&mut self, rows: &[(Var, usize)]) -> Var {
+        assert!(!rows.is_empty(), "gather_multi of nothing");
+        let d = self.value(rows[0].0).cols();
+        let mut data = Vec::with_capacity(rows.len() * d);
+        for &(src, r) in rows {
+            let t = self.value(src);
+            assert_eq!(t.cols(), d, "gather_multi column mismatch");
+            assert!(r < t.rows(), "gather index {r} out of range");
+            data.extend_from_slice(t.row_slice(r));
+        }
+        let out = Tensor::from_vec(data, rows.len(), d);
+        self.push(Op::GatherMulti(rows.to_vec()), out)
+    }
+
+    /// Row-segmented matrix product: rows `bounds[s]..bounds[s + 1]` of `a`
+    /// are multiplied by `weights[s]`. Each block is an ordinary
+    /// [`Graph::matmul`] (matmul rows are independent), so a single segment
+    /// is bit-identical to `matmul(a, weights[0])`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bounds` is not `weights.len() + 1` non-decreasing offsets
+    /// from 0 to `a.rows()`, or the weights' shapes differ.
+    pub fn segment_matmul(&mut self, a: Var, weights: &[Var], bounds: &[usize]) -> Var {
+        let (m, k) = self.value(a).shape();
+        assert!(!weights.is_empty(), "segment_matmul without weights");
+        assert_eq!(bounds.len(), weights.len() + 1, "one bound per segment + 1");
+        assert_eq!((bounds[0], bounds[weights.len()]), (0, m), "bounds span a");
+        let n = self.value(weights[0]).cols();
+        let mut data = Vec::with_capacity(m * n);
+        for (s, &w) in weights.iter().enumerate() {
+            let (r0, r1) = (bounds[s], bounds[s + 1]);
+            assert!(r0 <= r1, "segment bounds must be non-decreasing");
+            assert_eq!(self.value(w).shape(), (k, n), "segment weight shape");
+            let block = row_block(self.value(a), r0, r1);
+            data.extend_from_slice(self.backend.matmul(&block, self.value(w)).data());
+        }
+        let op = Op::SegmentMatMul {
+            a,
+            weights: weights.to_vec(),
+            bounds: bounds.to_vec(),
+        };
+        self.push(op, Tensor::from_vec(data, m, n))
+    }
+
+    /// Fused attention weights over CSR segments: segment `i` is rows
+    /// `offsets[i]..offsets[i + 1]` of `k`, and row `p` of the `P×1` output
+    /// is the softmax within its segment of
+    /// `scale·(q_i·k_p) + bias.data()[bias_index[p]]`.
+    ///
+    /// A one-row segment gets weight exactly 1; an empty one contributes no
+    /// rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `q` and `k` widths differ, `offsets` is not `q.rows() + 1`
+    /// non-decreasing offsets ending at `k.rows()`, `bias_index` is not one
+    /// entry per key row, or a bias index is out of range.
+    pub fn segment_softmax(
+        &mut self,
+        q: Var,
+        k: Var,
+        bias: Var,
+        bias_index: &[usize],
+        offsets: &[usize],
+        scale: f32,
+    ) -> Var {
+        let (qt, kt, bt) = (self.value(q), self.value(k), self.value(bias));
+        assert_eq!(qt.cols(), kt.cols(), "segment_softmax width mismatch");
+        check_offsets(offsets, qt.rows(), kt.rows());
+        assert_eq!(bias_index.len(), kt.rows(), "one bias index per key row");
+        let mut out = vec![0.0f32; kt.rows()];
+        for i in 0..qt.rows() {
+            let (p0, p1) = (offsets[i], offsets[i + 1]);
+            if p0 == p1 {
+                continue;
+            }
+            let qi = qt.row_slice(i);
+            for p in p0..p1 {
+                let dot: f32 = qi.iter().zip(kt.row_slice(p)).map(|(&x, &y)| x * y).sum();
+                out[p] = dot * scale + bt.data()[bias_index[p]];
+            }
+            softmax_in_place(&mut out[p0..p1]);
+        }
+        let op = Op::SegmentSoftmax {
+            q,
+            k,
+            bias,
+            bias_index: bias_index.to_vec(),
+            offsets: offsets.to_vec(),
+            scale,
+        };
+        let rows = out.len();
+        self.push(op, Tensor::from_vec(out, rows, 1))
+    }
+
+    /// Per-segment weighted sum of value rows: output row `i` is
+    /// `Σ_p weights[p]·values[p]` over `p ∈ offsets[i]..offsets[i + 1]`,
+    /// accumulated in row order. An empty segment yields a zero row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `offsets` does not end at `values.rows()` or `weights` is
+    /// not `values.rows() × 1`.
+    pub fn segment_sum(&mut self, values: Var, weights: Var, offsets: &[usize]) -> Var {
+        self.segment_reduce(values, Some(weights), offsets)
+    }
+
+    /// Per-segment mean of value rows (the sum times `1/len`); an empty
+    /// segment yields a zero row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `offsets` does not end at `values.rows()`.
+    pub fn segment_mean(&mut self, values: Var, offsets: &[usize]) -> Var {
+        self.segment_reduce(values, None, offsets)
+    }
+
+    /// [`Graph::segment_sum`] with `weights`, [`Graph::segment_mean`]
+    /// without.
+    fn segment_reduce(&mut self, values: Var, weights: Option<Var>, offsets: &[usize]) -> Var {
+        let vt = self.value(values);
+        let (p_rows, d) = vt.shape();
+        assert!(!offsets.is_empty(), "segment offsets need a leading 0");
+        let n = offsets.len() - 1;
+        check_offsets(offsets, n, p_rows);
+        let w = weights.map(|w| {
+            assert_eq!(
+                self.value(w).shape(),
+                (p_rows, 1),
+                "one weight per value row"
+            );
+            self.value(w).data()
+        });
+        let mut out = Tensor::zeros(n, d);
+        for i in 0..n {
+            let (p0, p1) = (offsets[i], offsets[i + 1]);
+            let acc = out.row_slice_mut(i);
+            for p in p0..p1 {
+                let v = vt.row_slice(p);
+                match (w, p == p0) {
+                    (Some(w), true) => acc.iter_mut().zip(v).for_each(|(a, &x)| *a = x * w[p]),
+                    (Some(w), false) => acc.iter_mut().zip(v).for_each(|(a, &x)| *a += x * w[p]),
+                    (None, true) => acc.copy_from_slice(v),
+                    (None, false) => acc.iter_mut().zip(v).for_each(|(a, &x)| *a += x),
+                }
+            }
+            if w.is_none() && p1 > p0 {
+                let inv = 1.0 / (p1 - p0) as f32;
+                acc.iter_mut().for_each(|a| *a *= inv);
+            }
+        }
+        let op = Op::SegmentSum {
+            values,
+            weights,
+            offsets: offsets.to_vec(),
+        };
+        self.push(op, out)
     }
 
     /// Row-wise L2 normalization (as in the paper's Fig. 6 pseudocode).
@@ -565,225 +808,321 @@ impl Graph {
 
     /// Reverse-mode backpropagation from a scalar loss.
     ///
+    /// Only nodes with a parameter upstream get gradients: operand
+    /// gradients toward inputs and input-only subexpressions are never
+    /// computed.
+    ///
     /// # Panics
     ///
     /// Panics if `loss` is not `1×1`.
     pub fn backward(&mut self, loss: Var) -> Gradients {
         assert_eq!(self.value(loss).shape(), (1, 1), "loss must be scalar");
-        let n = self.nodes.len();
-        let mut grads: Vec<Option<Tensor>> = vec![None; n];
-        grads[loss.0] = Some(Tensor::from_rows(&[&[1.0]]));
+        let nodes = &self.nodes;
+        let be = self.backend;
+        let mut grads = Slots {
+            grads: vec![None; nodes.len()],
+            nodes,
+        };
+        if nodes[loss.0].requires_grad {
+            grads.grads[loss.0] = Some(Tensor::from_rows(&[&[1.0]]));
+        }
         let mut out = Gradients::default();
+        let value = |v: &Var| &nodes[v.0].value;
 
-        for i in (0..n).rev() {
-            let Some(grad) = grads[i].take() else {
+        for i in (0..nodes.len()).rev() {
+            let Some(grad) = grads.grads[i].take() else {
                 continue;
             };
-            let op = self.nodes[i].op.clone();
-            match op {
+            let y = &nodes[i].value;
+            match &nodes[i].op {
                 Op::Leaf => {}
-                Op::Param(id) => {
-                    let entry = out
-                        .by_param
-                        .entry(id)
-                        .or_insert_with(|| Tensor::zeros(grad.rows(), grad.cols()));
-                    *entry = entry.zip_map(&grad, |a, b| a + b);
-                }
+                Op::Param(id) => match out.by_param.entry(*id) {
+                    std::collections::hash_map::Entry::Occupied(mut e) => {
+                        add_into(e.get_mut(), &grad)
+                    }
+                    std::collections::hash_map::Entry::Vacant(e) => {
+                        let mut acc = Tensor::zeros(grad.rows(), grad.cols());
+                        add_into(&mut acc, &grad);
+                        e.insert(acc);
+                    }
+                },
                 Op::MatMul(a, b) => {
-                    let da = self.backend.matmul_a_bt(&grad, &self.nodes[b.0].value);
-                    let db = self.backend.matmul_at_b(&self.nodes[a.0].value, &grad);
-                    accumulate(&mut grads, a.0, da);
-                    accumulate(&mut grads, b.0, db);
+                    if grads.needs(a) {
+                        grads.add(a, be.matmul_a_bt(&grad, value(b)));
+                    }
+                    if grads.needs(b) {
+                        grads.add(b, be.matmul_at_b(value(a), &grad));
+                    }
                 }
                 Op::Add(a, b) => {
-                    accumulate(&mut grads, a.0, grad.clone());
-                    accumulate(&mut grads, b.0, grad);
+                    if grads.needs(a) {
+                        grads.add(a, grad.clone());
+                    }
+                    grads.add_if_needed(b, grad);
                 }
                 Op::Sub(a, b) => {
-                    accumulate(&mut grads, a.0, grad.clone());
-                    accumulate(&mut grads, b.0, self.backend.map(&grad, &|x| -x));
+                    if grads.needs(a) {
+                        grads.add(a, grad.clone());
+                    }
+                    if grads.needs(b) {
+                        grads.add(b, be.map(&grad, &|x| -x));
+                    }
                 }
                 Op::Mul(a, b) => {
-                    let da = self
-                        .backend
-                        .zip_map(&grad, &self.nodes[b.0].value, &|g, y| g * y);
-                    let db = self
-                        .backend
-                        .zip_map(&grad, &self.nodes[a.0].value, &|g, x| g * x);
-                    accumulate(&mut grads, a.0, da);
-                    accumulate(&mut grads, b.0, db);
-                }
-                Op::Scale(a, c) => accumulate(&mut grads, a.0, self.backend.map(&grad, &|x| x * c)),
-                Op::AddRow(a, r) => {
-                    accumulate(&mut grads, a.0, grad.clone());
-                    let (gn, gd) = grad.shape();
-                    let mut dr = Tensor::zeros(1, gd);
-                    for ii in 0..gn {
-                        for j in 0..gd {
-                            dr.set(0, j, dr.get(0, j) + grad.get(ii, j));
-                        }
+                    if grads.needs(a) {
+                        grads.add(a, be.zip_map(&grad, value(b), &|g, y| g * y));
                     }
-                    accumulate(&mut grads, r.0, dr);
+                    if grads.needs(b) {
+                        grads.add(b, be.zip_map(&grad, value(a), &|g, x| g * x));
+                    }
+                }
+                Op::Scale(a, c) => grads.add(a, be.map(&grad, &|x| x * c)),
+                Op::AddRow(a, r) => {
+                    if grads.needs(r) {
+                        let mut dr = vec![0.0f32; grad.cols()];
+                        for ii in 0..grad.rows() {
+                            for (acc, &g) in dr.iter_mut().zip(grad.row_slice(ii)) {
+                                *acc += g;
+                            }
+                        }
+                        grads.add(r, Tensor::from_vec(dr, 1, grad.cols()));
+                    }
+                    grads.add_if_needed(a, grad);
                 }
                 Op::MulScalarVar(a, s) => {
-                    let c = self.nodes[s.0].value.get(0, 0);
-                    accumulate(&mut grads, a.0, self.backend.map(&grad, &|x| x * c));
-                    let prod = self
-                        .backend
-                        .zip_map(&grad, &self.nodes[a.0].value, &|g, x| g * x);
-                    let ds = self.backend.sum(&prod);
-                    accumulate(&mut grads, s.0, Tensor::from_rows(&[&[ds]]));
+                    if grads.needs(a) {
+                        let c = value(s).get(0, 0);
+                        grads.add(a, be.map(&grad, &|x| x * c));
+                    }
+                    if grads.needs(s) {
+                        let prod = be.zip_map(&grad, value(a), &|g, x| g * x);
+                        grads.add(s, Tensor::from_rows(&[&[be.sum(&prod)]]));
+                    }
                 }
-                Op::Transpose(a) => accumulate(&mut grads, a.0, grad.transpose()),
+                Op::Transpose(a) => grads.add(a, grad.transpose()),
                 Op::Relu(a) => {
-                    let dx = self
-                        .backend
-                        .zip_map(&grad, &self.nodes[a.0].value, &|g, x| {
-                            if x > 0.0 {
-                                g
-                            } else {
-                                0.0
-                            }
-                        });
-                    accumulate(&mut grads, a.0, dx);
+                    let dx = be.zip_map(&grad, value(a), &|g, x| if x > 0.0 { g } else { 0.0 });
+                    grads.add(a, dx);
                 }
                 Op::Gelu(a) => {
-                    let dx = self
-                        .backend
-                        .zip_map(&grad, &self.nodes[a.0].value, &|g, x| g * gelu_grad(x));
-                    accumulate(&mut grads, a.0, dx);
+                    grads.add(a, be.zip_map(&grad, value(a), &|g, x| g * gelu_grad(x)));
                 }
-                Op::Tanh(a) => {
-                    let dx = self
-                        .backend
-                        .zip_map(&grad, &self.nodes[i].value, &|g, y| g * (1.0 - y * y));
-                    accumulate(&mut grads, a.0, dx);
-                }
-                Op::Sigmoid(a) => {
-                    let dx = self
-                        .backend
-                        .zip_map(&grad, &self.nodes[i].value, &|g, y| g * y * (1.0 - y));
-                    accumulate(&mut grads, a.0, dx);
-                }
-                Op::Exp(a) => {
-                    let dx = self
-                        .backend
-                        .zip_map(&grad, &self.nodes[i].value, &|g, y| g * y);
-                    accumulate(&mut grads, a.0, dx);
-                }
+                Op::Tanh(a) => grads.add(a, be.zip_map(&grad, y, &|g, y| g * (1.0 - y * y))),
+                Op::Sigmoid(a) => grads.add(a, be.zip_map(&grad, y, &|g, y| g * y * (1.0 - y))),
+                Op::Exp(a) => grads.add(a, be.zip_map(&grad, y, &|g, y| g * y)),
                 Op::SoftmaxRows(a) => {
-                    let y = &self.nodes[i].value;
                     let (rn, rc) = y.shape();
                     let mut dx = Tensor::zeros(rn, rc);
                     for r in 0..rn {
-                        let dot: f32 = (0..rc).map(|c| grad.get(r, c) * y.get(r, c)).sum();
-                        for c in 0..rc {
-                            dx.set(r, c, y.get(r, c) * (grad.get(r, c) - dot));
+                        let (gr, yr) = (grad.row_slice(r), y.row_slice(r));
+                        let dot: f32 = gr.iter().zip(yr).map(|(&g, &y)| g * y).sum();
+                        for ((d, &g), &y) in dx.row_slice_mut(r).iter_mut().zip(gr).zip(yr) {
+                            *d = y * (g - dot);
                         }
                     }
-                    accumulate(&mut grads, a.0, dx);
+                    grads.add(a, dx);
                 }
                 Op::MeanRows(a) => {
-                    let (an, ad) = self.nodes[a.0].value.shape();
-                    let mut dx = Tensor::zeros(an, ad);
-                    for r in 0..an {
-                        for c in 0..ad {
-                            dx.set(r, c, grad.get(0, c) / an.max(1) as f32);
-                        }
+                    let (an, ad) = value(a).shape();
+                    let row: Vec<f32> = grad.data().iter().map(|&g| g / an.max(1) as f32).collect();
+                    let mut data = Vec::with_capacity(an * ad);
+                    for _ in 0..an {
+                        data.extend_from_slice(&row);
                     }
-                    accumulate(&mut grads, a.0, dx);
+                    grads.add(a, Tensor::from_vec(data, an, ad));
                 }
                 Op::SumAll(a) => {
-                    let (an, ad) = self.nodes[a.0].value.shape();
-                    let g = grad.get(0, 0);
-                    accumulate(&mut grads, a.0, Tensor::full(an, ad, g));
+                    let (an, ad) = value(a).shape();
+                    grads.add(a, Tensor::full(an, ad, grad.get(0, 0)));
                 }
                 Op::MeanAll(a) => {
-                    let (an, ad) = self.nodes[a.0].value.shape();
+                    let (an, ad) = value(a).shape();
                     let g = grad.get(0, 0) / (an * ad).max(1) as f32;
-                    accumulate(&mut grads, a.0, Tensor::full(an, ad, g));
+                    grads.add(a, Tensor::full(an, ad, g));
                 }
                 Op::ConcatCols(a, b) => {
-                    let (n_, ca) = self.nodes[a.0].value.shape();
-                    let (_, cb) = self.nodes[b.0].value.shape();
-                    let mut da = Tensor::zeros(n_, ca);
-                    let mut db = Tensor::zeros(n_, cb);
-                    for r in 0..n_ {
-                        for c in 0..ca {
-                            da.set(r, c, grad.get(r, c));
-                        }
-                        for c in 0..cb {
-                            db.set(r, c, grad.get(r, ca + c));
-                        }
+                    let ca = value(a).cols();
+                    if grads.needs(a) {
+                        grads.add(a, col_block(&grad, 0, ca));
                     }
-                    accumulate(&mut grads, a.0, da);
-                    accumulate(&mut grads, b.0, db);
+                    if grads.needs(b) {
+                        grads.add(b, col_block(&grad, ca, grad.cols() - ca));
+                    }
                 }
                 Op::ConcatRows(parts) => {
                     let mut offset = 0;
                     for p in parts {
-                        let (pn, pd) = self.nodes[p.0].value.shape();
-                        let mut dp = Tensor::zeros(pn, pd);
-                        for r in 0..pn {
-                            for c in 0..pd {
-                                dp.set(r, c, grad.get(offset + r, c));
-                            }
+                        let pn = value(p).rows();
+                        if grads.needs(p) {
+                            grads.add(p, row_block(&grad, offset, offset + pn));
                         }
-                        accumulate(&mut grads, p.0, dp);
                         offset += pn;
                     }
                 }
                 Op::SliceCols(a, start, len) => {
-                    let (an, ac) = self.nodes[a.0].value.shape();
+                    let (an, ac) = value(a).shape();
                     let mut da = Tensor::zeros(an, ac);
                     for r in 0..an {
-                        for c in 0..len {
-                            da.set(r, start + c, grad.get(r, c));
-                        }
+                        da.row_slice_mut(r)[*start..start + len].copy_from_slice(grad.row_slice(r));
                     }
-                    accumulate(&mut grads, a.0, da);
+                    grads.add(a, da);
                 }
                 Op::GatherRows(a, indices) => {
-                    let shape = self.nodes[a.0].value.shape();
-                    accumulate_rows(&mut grads, a.0, shape, &grad, &indices);
+                    let shape = value(a).shape();
+                    let dst = grads.slot(a, shape);
+                    for (r, &target) in indices.iter().enumerate() {
+                        add_slice(dst.row_slice_mut(target), grad.row_slice(r));
+                    }
+                }
+                Op::GatherMulti(rows) => {
+                    for (r, (src, target)) in rows.iter().enumerate() {
+                        if grads.needs(src) {
+                            let dst = grads.slot(src, value(src).shape());
+                            add_slice(dst.row_slice_mut(*target), grad.row_slice(r));
+                        }
+                    }
                 }
                 Op::ScatterRows(base, rows, indices) => {
-                    let (_, d) = grad.shape();
-                    let kd = indices.len();
-                    let mut drows = Tensor::zeros(kd, d);
+                    let d = grad.cols();
+                    let mut drows = Tensor::zeros(indices.len(), d);
                     // Take ownership of `grad` as dbase, zeroing the
                     // overwritten rows in place (no full-size temporary).
                     let mut dbase = grad;
                     for (i, &idx) in indices.iter().enumerate() {
-                        for j in 0..d {
-                            drows.set(i, j, dbase.get(idx, j));
-                            dbase.set(idx, j, 0.0);
-                        }
+                        drows.row_slice_mut(i).copy_from_slice(dbase.row_slice(idx));
+                        dbase.row_slice_mut(idx).fill(0.0);
                     }
-                    accumulate(&mut grads, base.0, dbase);
-                    accumulate(&mut grads, rows.0, drows);
+                    grads.add_if_needed(base, dbase);
+                    grads.add_if_needed(rows, drows);
                 }
                 Op::MulCol(a, col) => {
-                    let (n_, d) = grad.shape();
-                    let colv = &self.nodes[col.0].value;
-                    let av = &self.nodes[a.0].value;
-                    let mut da = Tensor::zeros(n_, d);
-                    let mut dcol = Tensor::zeros(n_, 1);
-                    for r in 0..n_ {
-                        let c = colv.get(r, 0);
-                        let mut acc = 0.0;
-                        for j in 0..d {
-                            da.set(r, j, grad.get(r, j) * c);
-                            acc += grad.get(r, j) * av.get(r, j);
+                    let (colv, av) = (value(col), value(a));
+                    if grads.needs(a) {
+                        let mut da = grad.clone();
+                        for (r, &c) in colv.data().iter().enumerate() {
+                            da.row_slice_mut(r).iter_mut().for_each(|g| *g *= c);
                         }
-                        dcol.set(r, 0, acc);
+                        grads.add(a, da);
                     }
-                    accumulate(&mut grads, a.0, da);
-                    accumulate(&mut grads, col.0, dcol);
+                    if grads.needs(col) {
+                        let dcol = (0..grad.rows())
+                            .map(|r| {
+                                let mut acc = 0.0;
+                                for (&g, &x) in grad.row_slice(r).iter().zip(av.row_slice(r)) {
+                                    acc += g * x;
+                                }
+                                acc
+                            })
+                            .collect();
+                        grads.add(col, Tensor::from_vec(dcol, grad.rows(), 1));
+                    }
+                }
+                Op::SegmentMatMul { a, weights, bounds } => {
+                    let at = value(a);
+                    let mut da = grads.needs(a).then(|| Vec::with_capacity(at.data().len()));
+                    for (s, w) in weights.iter().enumerate() {
+                        let g_s = row_block(&grad, bounds[s], bounds[s + 1]);
+                        if let Some(da) = da.as_mut() {
+                            da.extend_from_slice(be.matmul_a_bt(&g_s, value(w)).data());
+                        }
+                        if grads.needs(w) {
+                            let a_s = row_block(at, bounds[s], bounds[s + 1]);
+                            grads.add(w, be.matmul_at_b(&a_s, &g_s));
+                        }
+                    }
+                    if let Some(da) = da {
+                        grads.add(a, Tensor::from_vec(da, at.rows(), at.cols()));
+                    }
+                }
+                Op::SegmentSoftmax {
+                    q,
+                    k,
+                    bias,
+                    bias_index,
+                    offsets,
+                    scale,
+                } => {
+                    let (qt, kt) = (value(q), value(k));
+                    let mut dq = grads.needs(q).then(|| Tensor::zeros(qt.rows(), qt.cols()));
+                    let mut dk = grads.needs(k).then(|| Tensor::zeros(kt.rows(), kt.cols()));
+                    let mut db = grads
+                        .needs(bias)
+                        .then(|| vec![0.0f32; value(bias).data().len()]);
+                    let (alpha, dalpha) = (y.data(), grad.data());
+                    for i in 0..qt.rows() {
+                        let (p0, p1) = (offsets[i], offsets[i + 1]);
+                        let dot: f32 = (p0..p1).map(|p| dalpha[p] * alpha[p]).sum();
+                        for p in p0..p1 {
+                            let ds = alpha[p] * (dalpha[p] - dot);
+                            if let Some(db) = db.as_mut() {
+                                db[bias_index[p]] += ds;
+                            }
+                            let c = ds * scale;
+                            if let Some(dq) = dq.as_mut() {
+                                for (d, &kv) in dq.row_slice_mut(i).iter_mut().zip(kt.row_slice(p))
+                                {
+                                    *d += c * kv;
+                                }
+                            }
+                            if let Some(dk) = dk.as_mut() {
+                                for (d, &qv) in dk.row_slice_mut(p).iter_mut().zip(qt.row_slice(i))
+                                {
+                                    *d = c * qv;
+                                }
+                            }
+                        }
+                    }
+                    if let Some(dq) = dq {
+                        grads.add(q, dq);
+                    }
+                    if let Some(dk) = dk {
+                        grads.add(k, dk);
+                    }
+                    if let Some(db) = db {
+                        let (br, bc) = value(bias).shape();
+                        grads.add(bias, Tensor::from_vec(db, br, bc));
+                    }
+                }
+                Op::SegmentSum {
+                    values,
+                    weights,
+                    offsets,
+                } => {
+                    let vt = value(values);
+                    if grads.needs(values) {
+                        let w = weights.as_ref().map(|w| value(w).data());
+                        let mut dv = Tensor::zeros(vt.rows(), vt.cols());
+                        for i in 0..grad.rows() {
+                            let (p0, p1) = (offsets[i], offsets[i + 1]);
+                            let inv = 1.0 / (p1 - p0) as f32;
+                            for p in p0..p1 {
+                                // The row's factor in the forward: its
+                                // weight, or 1/len for the mean.
+                                let c = w.map_or(inv, |w| w[p]);
+                                for (d, &g) in dv.row_slice_mut(p).iter_mut().zip(grad.row_slice(i))
+                                {
+                                    *d = g * c;
+                                }
+                            }
+                        }
+                        grads.add(values, dv);
+                    }
+                    if let Some(wv) = weights.filter(|wv| grads.needs(wv)) {
+                        let dw = (0..grad.rows())
+                            .flat_map(|i| (offsets[i]..offsets[i + 1]).map(move |p| (i, p)))
+                            .map(|(i, p)| {
+                                let mut acc = 0.0;
+                                for (&g, &x) in grad.row_slice(i).iter().zip(vt.row_slice(p)) {
+                                    acc += g * x;
+                                }
+                                acc
+                            })
+                            .collect();
+                        grads.add(&wv, Tensor::from_vec(dw, vt.rows(), 1));
+                    }
                 }
                 Op::L2NormalizeRows(a) => {
-                    let x = &self.nodes[a.0].value;
-                    let y = &self.nodes[i].value;
+                    let x = value(a);
                     let (rn, rc) = x.shape();
                     let mut dx = Tensor::zeros(rn, rc);
                     for r in 0..rn {
@@ -799,11 +1138,10 @@ impl Graph {
                             dx.set(r, c, (grad.get(r, c) - y.get(r, c) * dot) / norm);
                         }
                     }
-                    accumulate(&mut grads, a.0, dx);
+                    grads.add(a, dx);
                 }
                 Op::LayerNormRows(a) => {
-                    let x = &self.nodes[a.0].value;
-                    let y = &self.nodes[i].value;
+                    let x = value(a);
                     let (rn, rc) = x.shape();
                     let d = rc as f32;
                     let mut dx = Tensor::zeros(rn, rc);
@@ -824,35 +1162,25 @@ impl Graph {
                             dx.set(r, c, v);
                         }
                     }
-                    accumulate(&mut grads, a.0, dx);
+                    grads.add(a, dx);
                 }
-                Op::Dropout(a, mask) => {
-                    let dx = self.backend.zip_map(&grad, &mask, &|g, m| g * m);
-                    accumulate(&mut grads, a.0, dx);
-                }
+                Op::Dropout(a, mask) => grads.add(a, be.zip_map(&grad, mask, &|g, m| g * m)),
                 Op::SmoothL1(pred, target) => {
                     let g = grad.get(0, 0);
-                    let diff = self
-                        .backend
-                        .zip_map(&self.nodes[pred.0].value, &target, &|p, t| p - t);
+                    let diff = be.zip_map(value(pred), target, &|p, t| p - t);
                     let len = diff.data().len().max(1) as f32;
-                    let dx = self.backend.map(&diff, &|d| g * d.clamp(-1.0, 1.0) / len);
-                    accumulate(&mut grads, pred.0, dx);
+                    grads.add(pred, be.map(&diff, &|d| g * d.clamp(-1.0, 1.0) / len));
                 }
                 Op::SmoothL1Weighted(pred, target, weights) => {
                     let g = grad.get(0, 0);
-                    let diff = self
-                        .backend
-                        .zip_map(&self.nodes[pred.0].value, &target, &|p, t| p - t);
+                    let diff = be.zip_map(value(pred), target, &|p, t| p - t);
                     let wsum: f32 = weights.data().iter().sum::<f32>().max(1e-12);
-                    let dx = self
-                        .backend
-                        .zip_map(&diff, &weights, &|d, w| g * w * d.clamp(-1.0, 1.0) / wsum);
-                    accumulate(&mut grads, pred.0, dx);
+                    let dx = be.zip_map(&diff, weights, &|d, w| g * w * d.clamp(-1.0, 1.0) / wsum);
+                    grads.add(pred, dx);
                 }
                 Op::CrossEntropyRows(logits, labels) => {
                     let g = grad.get(0, 0);
-                    let sm = softmax_rows(&self.nodes[logits.0].value);
+                    let sm = softmax_rows(value(logits));
                     let (rn, rc) = sm.shape();
                     let mut dx = Tensor::zeros(rn, rc);
                     for (r, &label) in labels.iter().enumerate().take(rn) {
@@ -861,11 +1189,11 @@ impl Graph {
                             dx.set(r, c, g * (sm.get(r, c) - one) / rn.max(1) as f32);
                         }
                     }
-                    accumulate(&mut grads, logits.0, dx);
+                    grads.add(logits, dx);
                 }
                 Op::CrossEntropyCols(logits, labels) => {
                     let g = grad.get(0, 0);
-                    let smt = softmax_rows(&self.nodes[logits.0].value.transpose());
+                    let smt = softmax_rows(&value(logits).transpose());
                     let (cn, cr) = smt.shape(); // cn = cols of logits
                     let mut dx = Tensor::zeros(cr, cn);
                     for (j, &label) in labels.iter().enumerate().take(cn) {
@@ -874,7 +1202,7 @@ impl Graph {
                             dx.set(r, j, g * (smt.get(j, r) - one) / cn.max(1) as f32);
                         }
                     }
-                    accumulate(&mut grads, logits.0, dx);
+                    grads.add(logits, dx);
                 }
             }
         }
@@ -882,36 +1210,94 @@ impl Graph {
     }
 }
 
-fn accumulate(grads: &mut [Option<Tensor>], idx: usize, delta: Tensor) {
-    match &mut grads[idx] {
-        Some(g) => {
-            debug_assert_eq!(g.shape(), delta.shape(), "gradient shape mismatch");
-            for (a, &b) in g.data_mut().iter_mut().zip(delta.data()) {
-                *a += b;
+/// Per-node gradient slots for one backward pass. Only nodes that require
+/// a gradient ever receive a slot.
+struct Slots<'a> {
+    grads: Vec<Option<Tensor>>,
+    nodes: &'a [Node],
+}
+
+impl Slots<'_> {
+    fn needs(&self, v: &Var) -> bool {
+        self.nodes[v.0].requires_grad
+    }
+
+    /// Accumulates `delta` into `v`'s gradient.
+    fn add(&mut self, v: &Var, delta: Tensor) {
+        debug_assert!(self.needs(v), "gradient toward a node that needs none");
+        match &mut self.grads[v.0] {
+            Some(g) => {
+                debug_assert_eq!(g.shape(), delta.shape(), "gradient shape mismatch");
+                add_into(g, &delta);
             }
+            slot @ None => *slot = Some(delta),
         }
-        slot @ None => *slot = Some(delta),
+    }
+
+    /// [`Slots::add`] when `v` needs a gradient; otherwise drops `delta`.
+    fn add_if_needed(&mut self, v: &Var, delta: Tensor) {
+        if self.needs(v) {
+            self.add(v, delta);
+        }
+    }
+
+    /// `v`'s gradient, zero-initialized to `shape` on first touch (for ops
+    /// that scatter rows into it without a full-size temporary).
+    fn slot(&mut self, v: &Var, shape: (usize, usize)) -> &mut Tensor {
+        debug_assert!(self.needs(v), "gradient toward a node that needs none");
+        self.grads[v.0].get_or_insert_with(|| Tensor::zeros(shape.0, shape.1))
     }
 }
 
-/// Adds `rows` of `delta` into the gradient slot at the given row indices
-/// without materializing a full-size temporary.
-fn accumulate_rows(
-    grads: &mut [Option<Tensor>],
-    idx: usize,
-    full_shape: (usize, usize),
-    delta: &Tensor,
-    indices: &[usize],
-) {
-    let slot = &mut grads[idx];
-    let g = slot.get_or_insert_with(|| Tensor::zeros(full_shape.0, full_shape.1));
-    let d = full_shape.1;
-    for (r, &target) in indices.iter().enumerate() {
-        let dst = &mut g.data_mut()[target * d..(target + 1) * d];
-        let src = &delta.data()[r * d..(r + 1) * d];
-        for (a, &b) in dst.iter_mut().zip(src) {
-            *a += b;
-        }
+fn add_into(acc: &mut Tensor, delta: &Tensor) {
+    add_slice(acc.data_mut(), delta.data());
+}
+
+fn add_slice(acc: &mut [f32], delta: &[f32]) {
+    for (a, &b) in acc.iter_mut().zip(delta) {
+        *a += b;
+    }
+}
+
+/// Rows `r0..r1` of `t` as a new tensor.
+fn row_block(t: &Tensor, r0: usize, r1: usize) -> Tensor {
+    let d = t.cols();
+    Tensor::from_vec(t.data()[r0 * d..r1 * d].to_vec(), r1 - r0, d)
+}
+
+/// Columns `start..start + len` of `t` as a new tensor.
+fn col_block(t: &Tensor, start: usize, len: usize) -> Tensor {
+    let mut data = Vec::with_capacity(t.rows() * len);
+    for r in 0..t.rows() {
+        data.extend_from_slice(&t.row_slice(r)[start..start + len]);
+    }
+    Tensor::from_vec(data, t.rows(), len)
+}
+
+/// Checks CSR segment offsets: `n + 1` non-decreasing entries from 0 to
+/// `total`.
+fn check_offsets(offsets: &[usize], n: usize, total: usize) {
+    assert_eq!(offsets.len(), n + 1, "one offset per segment + 1");
+    assert_eq!(
+        (offsets[0], offsets[n]),
+        (0, total),
+        "offsets span the rows"
+    );
+    assert!(
+        offsets.windows(2).all(|w| w[0] <= w[1]),
+        "segment offsets must be non-decreasing"
+    );
+}
+
+/// Softmax of one slice in place, with [`softmax_rows`]' arithmetic.
+fn softmax_in_place(x: &mut [f32]) {
+    let max = x.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    for v in x.iter_mut() {
+        *v = (*v - max).exp();
+    }
+    let sum: f32 = x.iter().sum::<f32>().max(1e-12);
+    for v in x.iter_mut() {
+        *v /= sum;
     }
 }
 
@@ -1119,5 +1505,97 @@ mod tests {
         let loss = g.sum_all(y);
         let grads = g.backward(loss);
         assert_eq!(grads.get(s).unwrap().get(0, 0), 4.0, "sum of x");
+    }
+
+    /// `(1 − σ(xW))∘(xW)` summed, with `x` and the ones either constants or
+    /// parameters.
+    fn gate_like(constants: bool) -> (Gradients, ParamId, Vec<bool>) {
+        let mut store = ParamStore::new();
+        let w = store.add("w", Tensor::xavier(3, 2, 5));
+        let x_t = Tensor::xavier(4, 3, 6);
+        let ones_t = Tensor::full(4, 2, 1.0);
+        let (x_id, ones_id) = (
+            store.add("x", x_t.clone()),
+            store.add("ones", ones_t.clone()),
+        );
+        let mut g = Graph::new();
+        let (x, ones) = if constants {
+            (g.input(x_t), g.input(ones_t))
+        } else {
+            (g.param(x_id, &store), g.param(ones_id, &store))
+        };
+        let wv = g.param(w, &store);
+        let xw = g.matmul(x, wv);
+        let z = g.sigmoid(xw);
+        let keep = g.sub(ones, z);
+        let both = g.concat_rows(&[ones, keep]);
+        let picked = g.gather_multi(&[(both, 5), (ones, 0), (xw, 1)]);
+        let prod = g.mul(keep, xw);
+        let total = g.sum_all(prod);
+        let extra = g.sum_all(picked);
+        let loss = g.add(total, extra);
+        let flags = [x, ones, wv, xw, keep, both, picked].map(|v| g.requires_grad(v));
+        (g.backward(loss), w, flags.to_vec())
+    }
+
+    #[test]
+    fn constants_get_no_gradient_and_param_gradients_are_unchanged() {
+        // Every gradient slot `backward` fills is debug-asserted to require
+        // a gradient, so this also checks no tensor is allocated for the
+        // constant operands.
+        let (with_consts, w, flags) = gate_like(true);
+        let (all_params, w2, _) = gate_like(false);
+        assert_eq!(flags, [false, false, true, true, true, true, true]);
+        let (a, b) = (with_consts.get(w).unwrap(), all_params.get(w2).unwrap());
+        assert_eq!(
+            a.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+            b.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+            "parameter gradient is bit-identical"
+        );
+        assert_eq!(with_consts.len(), 1, "only the parameter has a gradient");
+    }
+
+    #[test]
+    fn input_only_subexpressions_need_no_gradient() {
+        let mut g = Graph::new();
+        let x = g.input(Tensor::xavier(2, 2, 1));
+        let y = g.tanh(x);
+        let z = g.matmul(y, x);
+        assert!(!g.requires_grad(z));
+        let loss = g.sum_all(z);
+        assert!(g.backward(loss).is_empty());
+    }
+
+    #[test]
+    fn segment_forms_match_their_dense_counterparts() {
+        let mut g = Graph::new();
+        let a = g.input(Tensor::xavier(5, 4, 1));
+        let w = g.input(Tensor::xavier(4, 3, 2));
+        let dense = g.matmul(a, w);
+        let seg = g.segment_matmul(a, &[w], &[0, 5]);
+        assert_eq!(g.value(dense), g.value(seg), "one segment is a matmul");
+
+        // Uniform two-pin segments: the mean equals (v0 + v1)·½ and the
+        // softmax equals softmax_rows over the stacked scores.
+        let v = g.input(Tensor::xavier(4, 3, 3));
+        let offsets = [0, 2, 4];
+        let mean = g.segment_mean(v, &offsets);
+        let top = g.gather_rows(v, &[0, 2]);
+        let bottom = g.gather_rows(v, &[1, 3]);
+        let sum = g.add(top, bottom);
+        let halved = g.scale(sum, 0.5);
+        assert_eq!(g.value(mean), g.value(halved));
+
+        let q = g.input(Tensor::xavier(2, 3, 4));
+        let bias = g.input(Tensor::row(&[0.25, -0.5]));
+        let alpha = g.segment_softmax(q, v, bias, &[0, 1, 0, 1], &offsets, 1.0);
+        let scores: Vec<f32> = (0..4)
+            .map(|p| {
+                let (qi, kp) = (g.value(q).row_slice(p / 2), g.value(v).row_slice(p));
+                qi.iter().zip(kp).map(|(&x, &y)| x * y).sum::<f32>() + [0.25, -0.5][p % 2]
+            })
+            .collect();
+        let dense = softmax_rows(&Tensor::from_vec(scores, 2, 2));
+        assert_eq!(g.value(alpha).data(), dense.data());
     }
 }

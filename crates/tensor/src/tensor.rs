@@ -154,6 +154,11 @@ impl Tensor {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
+    /// One row as a mutable slice.
+    pub fn row_slice_mut(&mut self, r: usize) -> &mut [f32] {
+        &mut self.data[r * self.cols..(r + 1) * self.cols]
+    }
+
     /// Matrix product `self × rhs`, dispatched through the process-wide
     /// compute backend by problem size (see [`crate::backend::for_flops`];
     /// an explicit `MOSS_BACKEND` pins the backend at every size).
