@@ -16,9 +16,12 @@ use moss_benchkit::Suite;
 use moss_tensor::backend::{configured_threads, Backend};
 use moss_tensor::{Blocked, Naive, Parallel, Tensor};
 
-/// The shapes named in the issue: a per-cluster GNN update and a full
-/// design-level batch.
+/// A per-cluster GNN update and a full design-level batch.
 const SHAPES: &[(usize, usize, usize)] = &[(256, 16, 16), (2048, 64, 64)];
+
+/// An input-gradient shape the pretrain backward runs: a level's rows times
+/// a 32-wide weight.
+const TRAINING_A_BT: (usize, usize, usize) = (80, 32, 32);
 
 /// The size-based auto dispatch exercised at the bench shapes (what
 /// `Tensor::matmul` runs when `MOSS_BACKEND` is unset).
@@ -35,6 +38,25 @@ impl Backend for Auto {
     fn matmul_at_b(&self, a: &Tensor, b: &Tensor) -> Tensor {
         moss_tensor::for_flops(a.rows() * a.cols() * b.cols()).matmul_at_b(a, b)
     }
+}
+
+/// The backward-pass form for input gradients: `g (m×n) · bᵀ` with `b`
+/// the `k×n` weight, giving `m×k`.
+fn bench_a_bt(
+    suite: &mut Suite,
+    name: &str,
+    backend: &dyn Backend,
+    (m, k, n): (usize, usize, usize),
+) {
+    let g = Tensor::xavier(m, n, 3);
+    let b = Tensor::xavier(k, n, 4);
+    suite.bench_with_flops(
+        &format!("matmul_a_bt/{name}/{m}x{k}x{n}"),
+        (2 * m * k * n) as u64,
+        || {
+            std::hint::black_box(backend.matmul_a_bt(&g, &b));
+        },
+    );
 }
 
 fn main() {
@@ -70,7 +92,11 @@ fn main() {
                 std::hint::black_box(backend.matmul_at_b(&a, &g));
             });
         }
+        for (name, backend) in backends {
+            bench_a_bt(&mut suite, name, backend, (m, k, n));
+        }
     }
+    bench_a_bt(&mut suite, "auto", &Auto, TRAINING_A_BT);
 
     let out = std::env::var("MOSS_BENCH_OUT").unwrap_or_else(|_| {
         concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kernels.json").to_string()

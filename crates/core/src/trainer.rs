@@ -320,11 +320,10 @@ impl Trainer {
         // catastrophically forgets arrival/toggle structure) and makes the
         // phase cheap — no per-epoch GNN forward passes. Because the trunk
         // is frozen, recomputing the embeddings on resume reproduces the
-        // originals bit-exactly; they need no checkpointing.
-        let frozen: Vec<(Tensor, Tensor)> = circuits
-            .iter()
-            .map(|p| model.frozen_embeddings(store, p))
-            .collect();
+        // originals bit-exactly; they need no checkpointing. Each circuit's
+        // forward is independent, so they fan out over the pool.
+        let frozen: Vec<(Tensor, Tensor)> =
+            moss_tensor::par_map(circuits, |_, p| model.frozen_embeddings(store, p));
         if self.align_opt.is_none() {
             self.align_opt = Some(Adam::new(self.config.learning_rate * 2.0));
         }

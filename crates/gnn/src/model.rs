@@ -274,7 +274,7 @@ impl CircuitGnn {
                 let d_side = table.gather(g, &circuit.dff_fanins);
                 let pre = gate_preactivation(g, h, d_side, w.dff_up);
                 let pre = g.add_row(pre, w.dff_bias);
-                let new = gated_update(g, h, pre);
+                let new = g.gated_update(h, pre);
                 table.update(new, &circuit.dff_nodes);
             }
         }
@@ -408,6 +408,12 @@ fn gate_preactivation(g: &mut Graph, h: Var, m: Var, w: Var) -> Var {
 
 /// The combinational gated update of `nodes`, whose states are `h` and
 /// messages `m`; the `h0` term and bias come precomputed in `h0_gate`.
+///
+/// GRU-style, the asynchronous-update family the DeepSeq line established
+/// and MOSS adopts (§IV-B): with `[h | m | h0]` inputs,
+/// `z = σ(hWz + mUz + h0Vz + bz)`, `h̃ = tanh(hWh + mUh + h0Vh + bh)` and
+/// `h' = (1−z)∘h + z∘h̃`, one fused [`Graph::gated_update`] op on the
+/// stacked pre-activations.
 fn combinational_update(
     g: &mut Graph,
     w: &Loaded,
@@ -419,24 +425,7 @@ fn combinational_update(
     let pre = gate_preactivation(g, h, m, w.up);
     let offset = g.gather_rows(h0_gate, nodes);
     let pre = g.add(pre, offset);
-    gated_update(g, h, pre)
-}
-
-/// GRU-style gated state update from stacked pre-activations
-/// `pre = [z_pre | h̃_pre]`: `z = σ(z_pre)`, `h̃ = tanh(h̃_pre)`,
-/// `h' = (1−z)∘h + z∘h̃`, computed as `h + z∘(h̃ − h)` — the
-/// asynchronous-update family the DeepSeq line established and MOSS adopts
-/// (§IV-B). With `[h | m | h0]` inputs, `z_pre = hWz + mUz [+ h0Vz] + bz`
-/// and likewise for `h̃_pre`.
-fn gated_update(g: &mut Graph, h: Var, pre: Var) -> Var {
-    let d = g.value(h).cols();
-    let z_pre = g.slice_cols(pre, 0, d);
-    let z = g.sigmoid(z_pre);
-    let cand_pre = g.slice_cols(pre, d, d);
-    let cand = g.tanh(cand_pre);
-    let delta = g.sub(cand, h);
-    let step = g.mul(z, delta);
-    g.add(h, step)
+    g.gated_update(h, pre)
 }
 
 #[cfg(test)]
@@ -725,9 +714,9 @@ mod tests {
     #[test]
     fn forward_tape_is_linear_in_levels() {
         // Per level: 2 gathers, 3 projections, segment softmax and sum,
-        // then the gate (concat, matmul, h0-term gather, add, 7 ops); the
-        // extra level covers the turnaround update. Parameter loads, the
-        // input projection and the readout are the constant.
+        // then the gate (concat, matmul, h0-term gather, add, one fused
+        // update); the extra level covers the turnaround update. Parameter
+        // loads, the input projection and the readout are the constant.
         let nl = moss_datagen::random_netlist(7, 400);
         let n = nl.node_count();
         let clusters = Clustering {
@@ -740,7 +729,7 @@ mod tests {
         let mut g = Graph::new();
         let _ = gnn.forward(&mut g, &store, &circuit);
         let levels = circuit.comb_schedule.len();
-        let budget = 18 * (levels + 1) * cfg.iterations + 64;
+        let budget = 12 * (levels + 1) * cfg.iterations + 64;
         assert!(levels > 10, "a deep enough circuit ({levels} levels)");
         assert!(g.len() <= budget, "{} tape ops > budget {budget}", g.len());
     }

@@ -95,7 +95,9 @@ pub trait Backend: fmt::Debug + Send + Sync {
     }
 
     /// `a × bᵀ` — the backward-pass form for input gradients
-    /// (`dA = dC·Bᵀ`).
+    /// (`dA = dC·Bᵀ`). Every backend runs it as `matmul(a, bᵀ)`: `b` is
+    /// the small operand there (a weight), so the transpose is cheap next
+    /// to the product, which then runs on the forward matmul tile.
     ///
     /// # Panics
     ///
@@ -156,18 +158,6 @@ fn assert_matmul_shapes(a: &Tensor, b: &Tensor) {
     );
 }
 
-fn assert_a_bt_shapes(a: &Tensor, b: &Tensor) {
-    assert_eq!(
-        a.cols(),
-        b.cols(),
-        "matmul_a_bt shape mismatch: {}×{} × ({}×{})ᵀ",
-        a.rows(),
-        a.cols(),
-        b.rows(),
-        b.cols()
-    );
-}
-
 /// Reference kernel: the original `Tensor::matmul` i-k-j loops, with the
 /// skip for zero coefficients (circuit one-hot features are mostly zeros).
 fn matmul_reference_row(a_row: &[f32], b: &Tensor, out_row: &mut [f32]) {
@@ -208,8 +198,8 @@ impl Backend for Naive {
 /// Sequential register-tile SIMD kernels — see [`crate::simd`] for the
 /// tile shapes and the per-level numerics contract.
 ///
-/// All three matmul forms run dense microkernels (no transpose is ever
-/// materialized for the backward forms). On the scalar SIMD level the
+/// `a×b` and `aᵀ×b` run dense microkernels (`aᵀ` is never materialized);
+/// `a×bᵀ` is `a×b` with `b` transposed. On the scalar SIMD level the
 /// per-element accumulation order is exactly [`Naive`]'s, so the two agree
 /// bit-for-bit; the FMA levels agree to ~1e-6 relative.
 #[derive(Debug, Clone, Copy, Default)]
@@ -250,18 +240,6 @@ impl Backend for Blocked {
         let mut out = vec![0.0f32; k * n];
         simd::matmul_at_b_block(a.data(), m, k, 0, k, b.data(), n, &mut out);
         Tensor::from_vec(out, k, n)
-    }
-
-    fn matmul_a_bt(&self, a: &Tensor, b: &Tensor) -> Tensor {
-        assert_a_bt_shapes(a, b);
-        let (m, l) = a.shape();
-        let n = b.rows();
-        if m * l * n == 0 {
-            return Tensor::zeros(m, n);
-        }
-        let mut out = vec![0.0f32; m * n];
-        simd::matmul_a_bt_block(a.data(), m, l, b.data(), n, &mut out);
-        Tensor::from_vec(out, m, n)
     }
 }
 
@@ -425,34 +403,6 @@ impl Backend for Parallel {
             simd::matmul_at_b_block(ad, m, k, i0, i1 - i0, bd, n, ob);
         });
         Tensor::from_vec(out, k, n)
-    }
-
-    fn matmul_a_bt(&self, a: &Tensor, b: &Tensor) -> Tensor {
-        assert_a_bt_shapes(a, b);
-        let (m, l) = a.shape();
-        let n = b.rows();
-        if m * l * n == 0 {
-            return Tensor::zeros(m, n);
-        }
-        if m * l * n < PAR_MATMUL_MIN_FLOPS || m <= ROW_BLOCK {
-            return Blocked.matmul_a_bt(a, b);
-        }
-        let pool = self.pool();
-        if pool.workers() == 0 {
-            return Blocked.matmul_a_bt(a, b);
-        }
-        let mut out = vec![0.0f32; m * n];
-        let optr = SendPtr(out.as_mut_ptr());
-        let (ad, bd) = (a.data(), b.data());
-        // SAFETY: disjoint row blocks, ordered by run_indexed.
-        pool.run_indexed(m.div_ceil(ROW_BLOCK), &move |blk| {
-            let r0 = blk * ROW_BLOCK;
-            let r1 = (r0 + ROW_BLOCK).min(m);
-            let ob =
-                unsafe { std::slice::from_raw_parts_mut(optr.get().add(r0 * n), (r1 - r0) * n) };
-            simd::matmul_a_bt_block(&ad[r0 * l..r1 * l], r1 - r0, l, bd, n, ob);
-        });
-        Tensor::from_vec(out, m, n)
     }
 
     fn zip_map(&self, a: &Tensor, b: &Tensor, f: &(dyn Fn(f32, f32) -> f32 + Sync)) -> Tensor {
@@ -692,6 +642,36 @@ mod tests {
         let reference = Naive.matmul(&a, &c.transpose());
         for backend in [&Blocked as &dyn Backend, &Parallel::with_threads(2)] {
             assert_close(&backend.matmul_a_bt(&a, &c), &reference, 1e-4, "a_bt");
+        }
+    }
+
+    /// `a·bᵀ` runs on the forward tile, so at the scalar SIMD level it
+    /// keeps [`Naive`]'s per-element arithmetic exactly; the FMA levels
+    /// agree to rounding. Shapes cover tile tails, the training shapes and
+    /// one above the pool threshold.
+    #[test]
+    fn a_bt_matches_naive_bit_for_bit_at_scalar_level() {
+        let scalar = crate::simd::level() == crate::simd::Level::Scalar;
+        for &(m, l, n) in &[
+            (2, 3, 2),
+            (9, 17, 11),
+            (40, 64, 30),
+            (80, 32, 32),
+            (200, 16, 16),
+            (300, 80, 70),
+        ] {
+            let a = arange(m, l, 1.0);
+            let b = arange(n, l, 0.8);
+            let reference = Naive.matmul_a_bt(&a, &b);
+            for backend in [&Blocked as &dyn Backend, &Parallel::with_threads(2)] {
+                let got = backend.matmul_a_bt(&a, &b);
+                let what = format!("{} a_bt {m}x{l}x{n}", backend.name());
+                if scalar {
+                    assert_eq!(got.data(), reference.data(), "{what}");
+                } else {
+                    assert_close(&got, &reference, 1e-4, &what);
+                }
+            }
         }
     }
 

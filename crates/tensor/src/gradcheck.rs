@@ -212,6 +212,25 @@ mod tests {
     }
 
     #[test]
+    fn gated_update_checks_out() {
+        let mut store = ParamStore::new();
+        let h = store.add("h", Tensor::xavier(4, 3, 51));
+        let pre = store.add("pre", Tensor::xavier(4, 6, 52).map(|x| 2.0 * x));
+        let w = store.add("w", Tensor::xavier(6, 6, 53));
+        let err = max_gradient_error(&mut store, &[h, pre, w], |g, s| {
+            let (hv, pv, wv) = (g.param(h, s), g.param(pre, s), g.param(w, s));
+            let first = g.gated_update(hv, pv);
+            // A second round whose pre-activation reads both the new and
+            // the old state, as consecutive propagation rounds do.
+            let both = g.concat_cols(first, hv);
+            let pre2 = g.matmul(both, wv);
+            let second = g.gated_update(first, pre2);
+            g.smooth_l1(second, Tensor::xavier(4, 3, 54))
+        });
+        assert!(err < 2e-2, "max relative gradient error {err}");
+    }
+
+    #[test]
     fn segment_matmul_and_gather_multi_check_out() {
         let mut store = ParamStore::new();
         let a = store.add("a", Tensor::xavier(5, 3, 41));

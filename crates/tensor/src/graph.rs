@@ -126,6 +126,13 @@ enum Op {
         weights: Option<Var>,
         offsets: Vec<usize>,
     },
+    /// `h + σ(z)∘(tanh(c) − h)` for `pre = [z | c]`; `gates` keeps
+    /// `[σ(z) | tanh(c)]` for backward.
+    GatedUpdate {
+        h: Var,
+        pre: Var,
+        gates: Tensor,
+    },
 }
 
 #[derive(Debug)]
@@ -260,6 +267,7 @@ impl Graph {
             Op::SegmentSum {
                 values, weights, ..
             } => rg(values) || weights.as_ref().is_some_and(rg),
+            Op::GatedUpdate { h, pre, .. } => rg(h) || rg(pre),
         }
     }
 
@@ -688,6 +696,40 @@ impl Graph {
             offsets: offsets.to_vec(),
         };
         self.push(op, out)
+    }
+
+    /// GRU-style gated state update in one op: with `pre = [z | c]`
+    /// (`n × 2d`) and states `h` (`n × d`), returns
+    /// `h + σ(z)∘(tanh(c) − h)`, i.e. `(1 − σ(z))∘h + σ(z)∘tanh(c)`.
+    ///
+    /// Each element takes the same arithmetic as the chain `slice_cols`,
+    /// `sigmoid`, `slice_cols`, `tanh`, `sub`, `mul`, `add`, so the value
+    /// is bit-identical to it; backward is one pass over the rows with the
+    /// chain's per-element products.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pre` is not `h.rows() × 2·h.cols()`.
+    pub fn gated_update(&mut self, h: Var, pre: Var) -> Var {
+        let (ht, pt) = (self.value(h), self.value(pre));
+        let (n, d) = ht.shape();
+        assert_eq!(pt.shape(), (n, 2 * d), "gated_update needs pre = [z | c]");
+        let mut gates = Vec::with_capacity(n * 2 * d);
+        let mut out = Vec::with_capacity(n * d);
+        for r in 0..n {
+            let (z, c) = pt.row_slice(r).split_at(d);
+            let start = gates.len();
+            gates.extend(z.iter().map(|&x| sigmoid(x)));
+            gates.extend(c.iter().map(|&x| x.tanh()));
+            let (s, t) = gates[start..].split_at(d);
+            let hr = ht.row_slice(r);
+            out.extend((0..d).map(|j| hr[j] + s[j] * (t[j] - hr[j])));
+        }
+        let gates = Tensor::from_vec(gates, n, 2 * d);
+        self.push(
+            Op::GatedUpdate { h, pre, gates },
+            Tensor::from_vec(out, n, d),
+        )
     }
 
     /// Row-wise L2 normalization (as in the paper's Fig. 6 pseudocode).
@@ -1119,6 +1161,33 @@ impl Graph {
                             })
                             .collect();
                         grads.add(&wv, Tensor::from_vec(dw, vt.rows(), 1));
+                    }
+                }
+                Op::GatedUpdate { h, pre, gates } => {
+                    let ht = value(h);
+                    let (n, d) = ht.shape();
+                    let mut dpre = grads.needs(pre).then(|| Vec::with_capacity(n * 2 * d));
+                    let mut dh = grads.needs(h).then(|| Vec::with_capacity(n * d));
+                    for r in 0..n {
+                        let (s, t) = gates.row_slice(r).split_at(d);
+                        let (go, hr) = (grad.row_slice(r), ht.row_slice(r));
+                        if let Some(dpre) = dpre.as_mut() {
+                            // Through the sigmoid: go·(tanh(c) − h)·σ(1 − σ).
+                            dpre.extend(
+                                (0..d).map(|j| go[j] * (t[j] - hr[j]) * s[j] * (1.0 - s[j])),
+                            );
+                            // Through the tanh: go·σ·(1 − tanh²).
+                            dpre.extend((0..d).map(|j| go[j] * s[j] * (1.0 - t[j] * t[j])));
+                        }
+                        if let Some(dh) = dh.as_mut() {
+                            dh.extend((0..d).map(|j| go[j] - go[j] * s[j]));
+                        }
+                    }
+                    if let Some(dpre) = dpre {
+                        grads.add(pre, Tensor::from_vec(dpre, n, 2 * d));
+                    }
+                    if let Some(dh) = dh {
+                        grads.add(h, Tensor::from_vec(dh, n, d));
                     }
                 }
                 Op::L2NormalizeRows(a) => {
@@ -1564,6 +1633,56 @@ mod tests {
         assert!(!g.requires_grad(z));
         let loss = g.sum_all(z);
         assert!(g.backward(loss).is_empty());
+    }
+
+    /// Value of `h'` and the gradients of `Σ r∘h'` toward `h` and `pre`,
+    /// through [`Graph::gated_update`] or the seven-op chain it fuses.
+    fn gate_two_ways(fused: bool, n: usize, d: usize, seed: u64) -> [Tensor; 3] {
+        let mut store = ParamStore::new();
+        let h = store.add("h", Tensor::xavier(n, d, seed).map(|x| 3.0 * x));
+        let pre = store.add("pre", Tensor::xavier(n, 2 * d, seed + 1).map(|x| 6.0 * x));
+        let mut g = Graph::new();
+        let (hv, pv) = (g.param(h, &store), g.param(pre, &store));
+        let out = if fused {
+            g.gated_update(hv, pv)
+        } else {
+            let z_pre = g.slice_cols(pv, 0, d);
+            let z = g.sigmoid(z_pre);
+            let c_pre = g.slice_cols(pv, d, d);
+            let c = g.tanh(c_pre);
+            let delta = g.sub(c, hv);
+            let step = g.mul(z, delta);
+            g.add(hv, step)
+        };
+        let r = g.input(Tensor::xavier(n, d, seed + 2));
+        let weighted = g.mul(out, r);
+        let loss = g.sum_all(weighted);
+        let value = g.value(out).clone();
+        let grads = g.backward(loss);
+        [
+            value,
+            grads.get(h).unwrap().clone(),
+            grads.get(pre).unwrap().clone(),
+        ]
+    }
+
+    #[test]
+    fn gated_update_matches_the_seven_op_chain() {
+        for (n, d, seed) in [(1, 1, 70), (7, 5, 71), (33, 16, 72), (80, 32, 73)] {
+            let [v1, dh1, dp1] = gate_two_ways(true, n, d, seed);
+            let [v2, dh2, dp2] = gate_two_ways(false, n, d, seed);
+            assert_eq!(
+                v1.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                v2.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                "forward {n}x{d} is bit-identical"
+            );
+            for (what, a, b) in [("h", dh1, dh2), ("pre", dp1, dp2)] {
+                assert_eq!(a.shape(), b.shape(), "d{what} shape");
+                for (i, (x, y)) in a.data().iter().zip(b.data()).enumerate() {
+                    assert!((x - y).abs() <= 1e-6, "d{what}[{i}] {n}x{d}: {x} vs {y}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -23,7 +23,11 @@
 //! |---|---|---|
 //! | `matmul` (`a×b`) | 4 out rows × 2 lane chunks | `k`, ascending |
 //! | `matmul_at_b` (`aᵀ×b`) | 8 out rows × 2 lane chunks | `m` rows, ascending |
-//! | `matmul_a_bt` (`a×bᵀ`) | 8 column dot accumulators | shared dim, ascending |
+//!
+//! `a×bᵀ` has no kernel of its own: the backends run `matmul(a, bᵀ)`. In
+//! the backward pass `b` is the small operand (a weight), so the transpose
+//! costs `O(n·l)` against the product's `O(m·n·l)`, and the product runs on
+//! the forward tile.
 //!
 //! ## Determinism
 //!
@@ -167,52 +171,6 @@ pub fn matmul_at_b_block(
         Level::Avx2 => unsafe { x86::at_b_avx2(a, m, k, i0, rows, g, n, out) },
         _ => at_b_scalar(a, m, k, i0, rows, g, n, out),
     }
-}
-
-/// `out = a_block × bᵀ` for a block of output rows: `a_block` is `rows×l`,
-/// `b` is `n×l` (rows of `b` are already contiguous in the shared
-/// dimension, so no transpose is materialized).
-pub fn matmul_a_bt_block(
-    a_block: &[f32],
-    rows: usize,
-    l: usize,
-    b: &[f32],
-    n: usize,
-    out: &mut [f32],
-) {
-    debug_assert_eq!(a_block.len(), rows * l);
-    debug_assert_eq!(b.len(), n * l);
-    debug_assert_eq!(out.len(), rows * n);
-    if rows == 0 || n == 0 {
-        return;
-    }
-    match level() {
-        #[cfg(target_arch = "x86_64")]
-        Level::Avx512 => unsafe { x86::a_bt_avx512(a_block, rows, l, b, n, out) },
-        #[cfg(target_arch = "x86_64")]
-        Level::Avx2 => unsafe { x86::a_bt_avx2(a_block, rows, l, b, n, out) },
-        _ => a_bt_scalar(a_block, rows, l, b, n, out),
-    }
-}
-
-/// Dot product with [`LANES`] fixed-stride accumulator lanes (lane `l`
-/// sums the elements at indices `≡ l mod 8`, folded lane-ascending, tail
-/// last). The grouping depends only on the length, never on threads.
-pub fn dot(x: &[f32], y: &[f32]) -> f32 {
-    let mut acc = [0.0f32; LANES];
-    let xc = x.chunks_exact(LANES);
-    let yc = y.chunks_exact(LANES);
-    let (xrem, yrem) = (xc.remainder(), yc.remainder());
-    for (xs, ys) in xc.zip(yc) {
-        for l in 0..LANES {
-            acc[l] += xs[l] * ys[l];
-        }
-    }
-    let mut s = acc.iter().sum::<f32>();
-    for (&a, &b) in xrem.iter().zip(yrem) {
-        s += a * b;
-    }
-    s
 }
 
 // ---------------------------------------------------------------------
@@ -367,15 +325,6 @@ fn at_b_scalar_rows<const R: usize>(
             out[(o + ri) * n + j..(o + ri) * n + j + w].copy_from_slice(&acc[..w]);
         }
         j += w;
-    }
-}
-
-fn a_bt_scalar(a_block: &[f32], rows: usize, l: usize, b: &[f32], n: usize, out: &mut [f32]) {
-    for (i, out_row) in out.chunks_mut(n).enumerate().take(rows) {
-        let a_row = &a_block[i * l..(i + 1) * l];
-        for (j, o) in out_row.iter_mut().enumerate() {
-            *o = dot(a_row, &b[j * l..(j + 1) * l]);
-        }
     }
 }
 
@@ -687,120 +636,6 @@ mod x86 {
             j += 8;
         }
     }
-
-    // ----------------------------------------------------------------
-    // a_bt: dot products, 8 output columns per pass
-    // ----------------------------------------------------------------
-
-    /// Fixed-order horizontal sum (lane-ascending), so reductions do not
-    /// depend on shuffle idioms.
-    #[target_feature(enable = "avx512f")]
-    unsafe fn hsum512(v: __m512) -> f32 {
-        let mut tmp = [0.0f32; 16];
-        _mm512_storeu_ps(tmp.as_mut_ptr(), v);
-        tmp.iter().sum()
-    }
-
-    #[target_feature(enable = "avx2")]
-    unsafe fn hsum256(v: __m256) -> f32 {
-        let mut tmp = [0.0f32; 8];
-        _mm256_storeu_ps(tmp.as_mut_ptr(), v);
-        tmp.iter().sum()
-    }
-
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn a_bt_avx512(
-        a_block: &[f32],
-        rows: usize,
-        l: usize,
-        b: &[f32],
-        n: usize,
-        out: &mut [f32],
-    ) {
-        let (ap, bp, op) = (a_block.as_ptr(), b.as_ptr(), out.as_mut_ptr());
-        for i in 0..rows {
-            let mut j = 0;
-            while j + 8 <= n {
-                let mut acc = [_mm512_setzero_ps(); 8];
-                let mut l0 = 0;
-                while l0 < l {
-                    let w = (l - l0).min(16);
-                    let mk = mask16(w);
-                    let av = _mm512_maskz_loadu_ps(mk, ap.add(i * l + l0));
-                    for t in 0..8 {
-                        let bv = _mm512_maskz_loadu_ps(mk, bp.add((j + t) * l + l0));
-                        acc[t] = _mm512_fmadd_ps(av, bv, acc[t]);
-                    }
-                    l0 += 16;
-                }
-                for t in 0..8 {
-                    *op.add(i * n + j + t) = hsum512(acc[t]);
-                }
-                j += 8;
-            }
-            while j < n {
-                let mut acc = _mm512_setzero_ps();
-                let mut l0 = 0;
-                while l0 < l {
-                    let w = (l - l0).min(16);
-                    let mk = mask16(w);
-                    let av = _mm512_maskz_loadu_ps(mk, ap.add(i * l + l0));
-                    let bv = _mm512_maskz_loadu_ps(mk, bp.add(j * l + l0));
-                    acc = _mm512_fmadd_ps(av, bv, acc);
-                    l0 += 16;
-                }
-                *op.add(i * n + j) = hsum512(acc);
-                j += 1;
-            }
-        }
-    }
-
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn a_bt_avx2(
-        a_block: &[f32],
-        rows: usize,
-        l: usize,
-        b: &[f32],
-        n: usize,
-        out: &mut [f32],
-    ) {
-        let (ap, bp, op) = (a_block.as_ptr(), b.as_ptr(), out.as_mut_ptr());
-        for i in 0..rows {
-            let mut j = 0;
-            while j + 8 <= n {
-                let mut acc = [_mm256_setzero_ps(); 8];
-                let mut l0 = 0;
-                while l0 < l {
-                    let w = (l - l0).min(8);
-                    let mk = mask8(w);
-                    let av = _mm256_maskload_ps(ap.add(i * l + l0), mk);
-                    for t in 0..8 {
-                        let bv = _mm256_maskload_ps(bp.add((j + t) * l + l0), mk);
-                        acc[t] = _mm256_fmadd_ps(av, bv, acc[t]);
-                    }
-                    l0 += 8;
-                }
-                for t in 0..8 {
-                    *op.add(i * n + j + t) = hsum256(acc[t]);
-                }
-                j += 8;
-            }
-            while j < n {
-                let mut acc = _mm256_setzero_ps();
-                let mut l0 = 0;
-                while l0 < l {
-                    let w = (l - l0).min(8);
-                    let mk = mask8(w);
-                    let av = _mm256_maskload_ps(ap.add(i * l + l0), mk);
-                    let bv = _mm256_maskload_ps(bp.add(j * l + l0), mk);
-                    acc = _mm256_fmadd_ps(av, bv, acc);
-                    l0 += 8;
-                }
-                *op.add(i * n + j) = hsum256(acc);
-                j += 1;
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -898,39 +733,6 @@ mod tests {
                     let mut got = vec![0.0f32; k * n];
                     unsafe { x86::at_b_avx512(&a, m, k, 0, k, &g, n, &mut got) };
                     assert_close(&got, &reference, &format!("avx512 at_b {m}x{k}x{n}"));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn a_bt_levels_match_transposed_oracle() {
-        for &(m, l, n) in &[(2, 3, 2), (9, 17, 11), (40, 64, 30)] {
-            let a = pseudo(m * l, 5);
-            let b = pseudo(n * l, 6);
-            let mut bt = vec![0.0f32; l * n];
-            for j in 0..n {
-                for t in 0..l {
-                    bt[t * n + j] = b[j * l + t];
-                }
-            }
-            let reference = matmul_naive(&a, m, l, &bt, n);
-
-            let mut got = vec![0.0f32; m * n];
-            a_bt_scalar(&a, m, l, &b, n, &mut got);
-            assert_close(&got, &reference, &format!("scalar a_bt {m}x{l}x{n}"));
-
-            #[cfg(target_arch = "x86_64")]
-            {
-                if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
-                    let mut got = vec![0.0f32; m * n];
-                    unsafe { x86::a_bt_avx2(&a, m, l, &b, n, &mut got) };
-                    assert_close(&got, &reference, &format!("avx2 a_bt {m}x{l}x{n}"));
-                }
-                if is_x86_feature_detected!("avx512f") {
-                    let mut got = vec![0.0f32; m * n];
-                    unsafe { x86::a_bt_avx512(&a, m, l, &b, n, &mut got) };
-                    assert_close(&got, &reference, &format!("avx512 a_bt {m}x{l}x{n}"));
                 }
             }
         }

@@ -4,14 +4,14 @@
 //! work decomposition is a function of shape alone and every output
 //! element has exactly one writer.
 //!
-//! Also pins the teardown contract: dropping an owned pool leaves no
-//! lingering worker threads behind (checked against the kernel's own
-//! thread count via /proc, which this repo's CI runners all have).
+//! The teardown contract (no lingering worker threads) lives in
+//! `pool_teardown.rs`: it counts the process's threads, so it needs a test
+//! binary of its own.
 
 use moss_prng::rngs::StdRng;
 use moss_prng::{Rng, SeedableRng};
 use moss_tensor::backend::Backend;
-use moss_tensor::{Parallel, Tensor, ThreadPool};
+use moss_tensor::{Parallel, Tensor};
 
 const THREAD_MATRIX: [usize; 4] = [1, 2, 4, 8];
 
@@ -95,40 +95,4 @@ fn reductions_and_elementwise_are_bit_identical_across_the_thread_matrix() {
             "zip_map drifted at {threads} threads"
         );
     }
-}
-
-/// Counts this process's live threads (Linux /proc; skipped elsewhere).
-fn live_threads() -> Option<usize> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    status
-        .lines()
-        .find(|l| l.starts_with("Threads:"))
-        .and_then(|l| l.split_whitespace().nth(1))
-        .and_then(|n| n.parse().ok())
-}
-
-#[cfg(feature = "parallel")]
-#[test]
-fn dropping_a_pool_leaves_no_lingering_threads() {
-    let Some(before) = live_threads() else {
-        return; // no /proc on this platform
-    };
-    let pool = ThreadPool::new(6);
-    assert_eq!(pool.workers(), 5);
-    pool.run_indexed(64, &|_| {});
-    assert!(live_threads().unwrap() >= before + 5, "workers not started");
-    drop(pool);
-    // Drop joins every worker, so the count is back immediately — no
-    // polling loop needed.
-    assert_eq!(
-        live_threads().unwrap(),
-        before,
-        "pool teardown left threads behind"
-    );
-    // And the pool's own accounting agrees.
-    let pool = ThreadPool::new(3);
-    pool.run_indexed(8, &|_| {});
-    let stats_live = pool.stats().live_workers;
-    assert!(stats_live <= 2, "stats report {stats_live} live workers");
-    drop(pool);
 }
