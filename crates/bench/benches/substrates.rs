@@ -1,12 +1,13 @@
 //! Benches for the EDA substrates: synthesis, simulation, static timing
-//! analysis, and AIG lowering throughput (moss-benchkit harness).
+//! analysis, AIG lowering, and the structural-Verilog frontend and
+//! canonical hash a serving request pays (moss-benchkit harness).
 //!
 //! Run with `cargo bench -p moss-bench --bench substrates`.
 
 use std::time::Duration;
 
 use moss_benchkit::Suite;
-use moss_netlist::CellLibrary;
+use moss_netlist::{canonical_hash, parse_verilog, write_verilog, CellLibrary};
 use moss_sim::GateSim;
 use moss_synth::{lower_to_aig, synthesize, SynthOptions};
 use moss_timing::TimingReport;
@@ -66,6 +67,19 @@ fn bench_aig_lowering(suite: &mut Suite) {
     });
 }
 
+fn bench_verilog(suite: &mut Suite) {
+    for cells in [200, 1000, 2000] {
+        let src = write_verilog(&moss_datagen::random_netlist(7, cells));
+        suite.bench(&format!("verilog/parse/{cells}"), || {
+            std::hint::black_box(parse_verilog(&src).expect("parses"));
+        });
+    }
+    let nl = moss_datagen::random_netlist(7, 1000);
+    suite.bench("canonical_hash/1000", || {
+        std::hint::black_box(canonical_hash(&nl));
+    });
+}
+
 fn main() {
     let mut suite = Suite::new("substrates")
         .with_budget(Duration::from_millis(100), Duration::from_millis(500));
@@ -73,4 +87,5 @@ fn main() {
     bench_simulation(&mut suite);
     bench_sta(&mut suite);
     bench_aig_lowering(&mut suite);
+    bench_verilog(&mut suite);
 }

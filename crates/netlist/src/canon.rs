@@ -89,10 +89,55 @@ pub fn canonical_form(netlist: &Netlist) -> String {
 /// the embedding server's cache key, so the exact value is part of the
 /// on-the-wire contract — changing the canonical form silently invalidates
 /// every deployed cache (a regression test pins one value).
+///
+/// The text is never materialized: each group's lines are rendered back to
+/// back into one scratch buffer, without their shared `i `/`c `/`o `
+/// prefix, sorted there as byte ranges (the whole line is the sort key, as
+/// in [`canonical_form`]), and hashed in that order.
 pub fn canonical_hash(netlist: &Netlist) -> u64 {
+    let name_of = |id: NodeId| netlist.node(id).name().as_bytes();
     let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in canonical_form(netlist).as_bytes() {
-        h ^= u64::from(*b);
+    let mut buf: Vec<u8> = Vec::new();
+    let mut lines: Vec<(usize, usize)> = Vec::new();
+    for prefix in [b"i ", b"c ", b"o "] {
+        buf.clear();
+        lines.clear();
+        for id in netlist.node_ids() {
+            let start = buf.len();
+            match (prefix, netlist.kind(id)) {
+                (b"i ", NodeKind::PrimaryInput) => buf.extend_from_slice(name_of(id)),
+                (b"c ", NodeKind::Cell(kind)) => {
+                    buf.extend_from_slice(kind.lib_name().as_bytes());
+                    buf.push(b' ');
+                    buf.extend_from_slice(name_of(id));
+                    for &f in netlist.fanins(id) {
+                        buf.push(b' ');
+                        buf.extend_from_slice(name_of(f));
+                    }
+                }
+                (b"o ", NodeKind::PrimaryOutput) => {
+                    buf.extend_from_slice(name_of(id));
+                    buf.push(b' ');
+                    buf.extend_from_slice(name_of(netlist.fanins(id)[0]));
+                }
+                _ => continue,
+            }
+            lines.push((start, buf.len()));
+        }
+        lines.sort_unstable_by(|a, b| buf[a.0..a.1].cmp(&buf[b.0..b.1]));
+        for &(start, end) in &lines {
+            h = fnv1a(h, prefix);
+            h = fnv1a(h, &buf[start..end]);
+            h = fnv1a(h, b"\n");
+        }
+    }
+    h
+}
+
+/// Continues a 64-bit FNV-1a hash `h` over `bytes`.
+fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h

@@ -8,6 +8,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::OnceLock;
 
 use crate::cell::CellKind;
 use crate::error::NetlistError;
@@ -111,7 +112,10 @@ pub struct Netlist {
     nodes: Vec<Node>,
     fanins: Vec<Vec<NodeId>>,
     fanouts: Vec<Vec<NodeId>>,
-    name_index: HashMap<String, NodeId>,
+    /// Name → first node of that name, built on the first [`Netlist::find`]
+    /// and dropped by every node insertion: building a netlist pays no
+    /// second copy of each name.
+    name_index: OnceLock<HashMap<String, NodeId>>,
 }
 
 impl Netlist {
@@ -122,7 +126,7 @@ impl Netlist {
             nodes: Vec::new(),
             fanins: Vec::new(),
             fanouts: Vec::new(),
-            name_index: HashMap::new(),
+            name_index: OnceLock::new(),
         }
     }
 
@@ -133,7 +137,7 @@ impl Netlist {
 
     fn push_node(&mut self, kind: NodeKind, name: String) -> NodeId {
         let id = NodeId::new(self.nodes.len());
-        self.name_index.entry(name.clone()).or_insert(id);
+        self.name_index.take();
         self.nodes.push(Node { kind, name });
         self.fanins.push(Vec::new());
         self.fanouts.push(Vec::new());
@@ -314,7 +318,16 @@ impl Netlist {
 
     /// Looks a node up by name (first node added under that name wins).
     pub fn find(&self, name: &str) -> Option<NodeId> {
-        self.name_index.get(name).copied()
+        let index = self.name_index.get_or_init(|| {
+            let mut index = HashMap::with_capacity(self.nodes.len());
+            for (i, node) in self.nodes.iter().enumerate() {
+                index
+                    .entry(node.name.clone())
+                    .or_insert_with(|| NodeId::new(i));
+            }
+            index
+        });
+        index.get(name).copied()
     }
 
     /// Rewires pin `pin` of `node` to be driven by `new_src`.
@@ -383,10 +396,36 @@ impl Netlist {
     /// kind requires, every primary output has exactly one driver, and
     /// fanin/fanout lists are mutually consistent.
     ///
+    /// Runs in O(nodes + edges): the fanout lists are transposed once, so
+    /// a net with a huge fanout is not rescanned for each of its sinks.
+    ///
     /// # Errors
     ///
-    /// Returns the first violated invariant.
+    /// Returns the first violated invariant, in node order (a node's pin
+    /// count before its fanins, fanins in pin order).
     pub fn validate(&self) -> Result<(), NetlistError> {
+        let n = self.nodes.len();
+        // `recorded[offsets[id]..offsets[id + 1]]` lists every `f` whose
+        // fanout list names `id`: the fanins the fanout lists claim.
+        let mut offsets = vec![0usize; n + 1];
+        for outs in &self.fanouts {
+            for &to in outs.iter().filter(|to| to.index() < n) {
+                offsets[to.index() + 1] += 1;
+            }
+        }
+        for i in 0..n {
+            offsets[i + 1] += offsets[i];
+        }
+        let mut fill = offsets.clone();
+        let mut recorded = vec![NodeId::new(0); offsets[n]];
+        for (f, outs) in self.fanouts.iter().enumerate() {
+            for &to in outs.iter().filter(|to| to.index() < n) {
+                recorded[fill[to.index()]] = NodeId::new(f);
+                fill[to.index()] += 1;
+            }
+        }
+        // `mark[f] == id + 1` iff `fanouts[f]` names `id`, for the current `id`.
+        let mut mark = vec![0usize; n];
         for id in self.node_ids() {
             let node = &self.nodes[id.index()];
             let expected = node.kind.input_count();
@@ -399,8 +438,12 @@ impl Netlist {
                     got,
                 });
             }
+            let (lo, hi) = (offsets[id.index()], offsets[id.index() + 1]);
+            for f in &recorded[lo..hi] {
+                mark[f.index()] = id.index() + 1;
+            }
             for &f in &self.fanins[id.index()] {
-                if !self.fanouts[f.index()].contains(&id) {
+                if mark[f.index()] != id.index() + 1 {
                     return Err(NetlistError::InconsistentAdjacency {
                         from: f.index(),
                         to: id.index(),
@@ -525,6 +568,146 @@ mod tests {
         let (mut nl, a, _, g) = tiny();
         assert!(nl.replace_fanin(g, 5, a).is_err());
         assert!(nl.replace_fanin(NodeId::new(99), 0, a).is_err());
+    }
+
+    /// The quadratic scan `validate` used to run, kept as its reference.
+    fn validate_by_scan(nl: &Netlist) -> Result<(), NetlistError> {
+        for id in nl.node_ids() {
+            let node = &nl.nodes[id.index()];
+            let expected = node.kind.input_count();
+            let got = nl.fanins[id.index()].len();
+            if got != expected {
+                return Err(NetlistError::DanglingPins {
+                    node: id.index(),
+                    name: node.name.clone(),
+                    expected,
+                    got,
+                });
+            }
+            for &f in &nl.fanins[id.index()] {
+                if !nl.fanouts[f.index()].contains(&id) {
+                    return Err(NetlistError::InconsistentAdjacency {
+                        from: f.index(),
+                        to: id.index(),
+                    });
+                }
+            }
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn corrupted_adjacency_is_reported_as_before() {
+        let (mut nl, a, _, g) = tiny();
+        nl.fanouts[a.index()].clear();
+        assert_eq!(
+            nl.validate(),
+            Err(NetlistError::InconsistentAdjacency {
+                from: a.index(),
+                to: g.index(),
+            })
+        );
+
+        // A fanout entry naming the wrong sink, or a node out of range.
+        let (mut nl, _, b2, g2) = tiny();
+        nl.fanouts[b2.index()] = vec![b2, NodeId::new(99)];
+        assert_eq!(
+            nl.validate(),
+            Err(NetlistError::InconsistentAdjacency {
+                from: b2.index(),
+                to: g2.index(),
+            })
+        );
+
+        // A dropped fanin is a pin-count error, reported first.
+        let (mut nl, ..) = tiny();
+        nl.fanins[g.index()].pop();
+        assert!(matches!(
+            nl.validate(),
+            Err(NetlistError::DanglingPins { node, expected: 2, got: 1, .. }) if node == g.index()
+        ));
+
+        // One fanout entry covers both pins a net drives on one cell.
+        let mut nl = Netlist::new("t");
+        let x = nl.add_input("x");
+        let h = nl.add_cell(CellKind::And2, "u1", &[x, x]).unwrap();
+        nl.fanouts[x.index()] = vec![h];
+        assert_eq!(nl.validate(), Ok(()));
+    }
+
+    #[test]
+    fn validate_matches_the_scanning_reference_under_random_corruption() {
+        use moss_prng::rngs::StdRng;
+        use moss_prng::{Rng, SeedableRng};
+
+        let kinds: Vec<CellKind> = CellKind::ALL.into_iter().collect();
+        let mut rng = StdRng::seed_from_u64(0x7a11d);
+        let mut failures = 0;
+        for _ in 0..2_000 {
+            let mut nl = Netlist::new("r");
+            let mut ids: Vec<NodeId> = (0..rng.gen_range(1..4usize))
+                .map(|i| nl.add_input(format!("i{i}")))
+                .collect();
+            for c in 0..rng.gen_range(0..12usize) {
+                let kind = kinds[rng.gen_range(0..kinds.len())];
+                let fanins: Vec<NodeId> = (0..kind.input_count())
+                    .map(|_| ids[rng.gen_range(0..ids.len())])
+                    .collect();
+                ids.push(nl.add_cell(kind, format!("u{c}"), &fanins).unwrap());
+            }
+            nl.add_output("y", ids[ids.len() - 1]);
+            let n = nl.node_count();
+            for _ in 0..rng.gen_range(0..3u32) {
+                let v = rng.gen_range(0..n);
+                match rng.gen_range(0..5u32) {
+                    0 => {
+                        let outs = &mut nl.fanouts[v];
+                        if !outs.is_empty() {
+                            let i = rng.gen_range(0..outs.len());
+                            outs.remove(i);
+                        }
+                    }
+                    1 => nl.fanouts[v].push(NodeId::new(rng.gen_range(0..n + 2))),
+                    2 => {
+                        if !nl.fanins[v].is_empty() {
+                            let i = rng.gen_range(0..nl.fanins[v].len());
+                            nl.fanins[v][i] = NodeId::new(rng.gen_range(0..n));
+                        }
+                    }
+                    3 => {
+                        nl.fanins[v].pop();
+                    }
+                    _ => nl.fanouts.swap(v, rng.gen_range(0..n)),
+                }
+            }
+            let got = nl.validate();
+            assert_eq!(got, validate_by_scan(&nl));
+            failures += usize::from(got.is_err());
+        }
+        assert!(failures > 500, "corruption too rarely detected: {failures}");
+    }
+
+    #[test]
+    fn validate_is_linear_in_fanout() {
+        // One net feeding 50k cells: a per-edge scan of the driver's
+        // fanout list would make this 2.5e9 comparisons.
+        let mut nl = Netlist::new("wide");
+        let a = nl.add_input("a");
+        let mut last = a;
+        for c in 0..50_000 {
+            last = nl.add_cell(CellKind::Inv, format!("u{c}"), &[a]).unwrap();
+        }
+        nl.add_output("y", last);
+        assert_eq!(nl.fanouts(a).len(), 50_000);
+        assert_eq!(nl.validate(), Ok(()));
+        nl.fanouts[a.index()].pop();
+        assert_eq!(
+            nl.validate(),
+            Err(NetlistError::InconsistentAdjacency {
+                from: a.index(),
+                to: last.index(),
+            })
+        );
     }
 
     #[test]

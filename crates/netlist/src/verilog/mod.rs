@@ -27,7 +27,9 @@ mod token;
 
 pub use error::{ParseError, ParseErrorKind};
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 
 use crate::cell::CellKind;
 use crate::error::NetlistError;
@@ -59,6 +61,29 @@ fn output_pin(kind: CellKind) -> &'static str {
 
 /// Optional control pins accepted (and recorded, not graphed) on DFFs.
 const DFF_CONTROL_PINS: [&str; 3] = ["CK", "RN", "SN"];
+
+/// An instance's pin slots: its input pins in fanin order (at most three),
+/// then the output pin, then the three DFF control pins.
+const OUT_SLOT: usize = 3;
+const CONTROL_SLOT: usize = 4;
+const SLOTS: usize = CONTROL_SLOT + DFF_CONTROL_PINS.len();
+
+/// The slot of pin `pin` on a `kind` cell, or `None` if it has no such pin.
+fn pin_slot(kind: CellKind, pin: &str) -> Option<usize> {
+    if let Some(i) = pin_names(kind).iter().position(|&p| p == pin) {
+        return Some(i);
+    }
+    if pin == output_pin(kind) {
+        return Some(OUT_SLOT);
+    }
+    if !kind.is_sequential() {
+        return None;
+    }
+    DFF_CONTROL_PINS
+        .iter()
+        .position(|&p| p == pin)
+        .map(|i| CONTROL_SLOT + i)
+}
 
 /// How a parsed DFF initializes, derived from its reset-style control pin.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -134,416 +159,425 @@ pub fn parse_verilog(src: &str) -> Result<Netlist, NetlistError> {
 /// Returns [`NetlistError::Verilog`] wrapping a positioned [`ParseError`].
 pub fn parse_verilog_design(src: &str) -> Result<VerilogDesign, NetlistError> {
     let ast = parse_source(src)?;
-    elaborate(&ast)
+    Elaborator::new(&ast).run()
 }
 
 /// What currently drives a net.
-#[derive(Debug, Clone)]
-enum Driver {
+#[derive(Debug, Clone, Copy)]
+enum Driver<'a> {
     /// Nothing yet.
     None,
     /// A netlist node: a primary input, or a cell's output pin.
     Node(NodeId),
     /// The right-hand side of an `assign` (resolved lazily, with cycle
     /// detection, because assigns may chain through output ports).
-    Assign(NetRef),
+    Assign(NetRef<'a>),
 }
 
 #[derive(Debug)]
-struct Net {
-    driver: Driver,
+struct Net<'a> {
+    driver: Driver<'a>,
     is_output_port: bool,
 }
 
-#[derive(Debug, Default)]
-struct Ties {
-    zero: Option<NodeId>,
-    one: Option<NodeId>,
+impl Net<'_> {
+    fn undriven() -> Self {
+        Net {
+            driver: Driver::None,
+            is_output_port: false,
+        }
+    }
 }
 
+/// An instance awaiting pin connection: its slots index [`Ast::pins`].
 struct CellInst {
     node: NodeId,
     kind: CellKind,
-    pins: HashMap<String, NetRef>,
+    pins: [Option<usize>; SLOTS],
 }
 
-fn redeclared(name: &Name) -> ParseError {
-    ParseError::new(
-        name.line,
-        name.column,
-        ParseErrorKind::Redeclared {
-            name: name.text.clone(),
-        },
-    )
+/// Elaboration state. Every declared name is interned once to a dense id
+/// (its index in `nets`); nets and drivers are then resolved by that id.
+/// Verilog modules have a single declaration namespace, so ports, wires
+/// and instance names share the ids; an instance name is not a net and
+/// holds `None`. Ports are interned first, so a port's id is its
+/// port-list index.
+struct Elaborator<'s, 'a> {
+    ast: &'s Ast<'a>,
+    /// Keyed by request-controlled names: keeps the std randomly keyed
+    /// hasher.
+    ids: HashMap<&'a str, usize>,
+    nets: Vec<Option<Net<'a>>>,
+    netlist: Netlist,
+    /// The shared `TIEL_X1` / `TIEH_X1` cells, once materialized.
+    ties: [Option<NodeId>; 2],
+    /// Assign-chain cycle detection: `seen[id] == stamp` marks a net
+    /// already followed by the current [`Elaborator::resolve_net`] call.
+    seen: Vec<usize>,
+    stamp: usize,
 }
 
-fn multiple_drivers(at: (u32, u32), net: &str) -> ParseError {
-    ParseError::new(
-        at.0,
-        at.1,
-        ParseErrorKind::MultipleDrivers { net: net.into() },
-    )
-}
-
-/// Materializes the shared `TIEL_X1`/`TIEH_X1` cell for a constant.
-fn tie(
-    value: bool,
-    netlist: &mut Netlist,
-    ties: &mut Ties,
-    declared: &mut HashSet<String>,
-) -> NodeId {
-    let slot = if value { &mut ties.one } else { &mut ties.zero };
-    if let Some(id) = *slot {
-        return id;
+impl<'s, 'a> Elaborator<'s, 'a> {
+    fn new(ast: &'s Ast<'a>) -> Self {
+        let capacity = ast.ports.len() + ast.names.len() + ast.items.len();
+        Elaborator {
+            ast,
+            ids: HashMap::with_capacity(capacity),
+            nets: Vec::with_capacity(capacity),
+            netlist: Netlist::new(ast.name),
+            ties: [None; 2],
+            seen: Vec::new(),
+            stamp: 0,
+        }
     }
-    let base = if value { "const1" } else { "const0" };
-    let mut name = base.to_owned();
-    let mut k = 1u32;
-    while !declared.insert(name.clone()) {
-        name = format!("{base}_{k}");
-        k += 1;
-    }
-    let kind = if value {
-        CellKind::Tie1
-    } else {
-        CellKind::Tie0
-    };
-    let id = netlist
-        .add_cell(kind, name, &[])
-        .expect("tie cells have no input pins");
-    *slot = Some(id);
-    id
-}
 
-/// Resolves the node driving net `read`, chasing assign chains.
-fn resolve_net(
-    read: &Name,
-    nets: &HashMap<String, Net>,
-    netlist: &mut Netlist,
-    ties: &mut Ties,
-    declared: &mut HashSet<String>,
-) -> Result<NodeId, ParseError> {
-    let mut visited: HashSet<&str> = HashSet::new();
-    let mut current: &str = &read.text;
-    loop {
-        let Some(net) = nets.get(current) else {
-            return Err(ParseError::new(
-                read.line,
-                read.column,
-                ParseErrorKind::UndeclaredNet {
-                    net: current.to_owned(),
+    fn error(&self, at: usize, kind: ParseErrorKind) -> ParseError {
+        self.ast.error(at, kind)
+    }
+
+    /// Interns a newly declared name.
+    fn declare(&mut self, name: Name<'a>, net: Option<Net<'a>>) -> Result<usize, ParseError> {
+        match self.ids.entry(name.text) {
+            Entry::Occupied(_) => Err(self.ast.error(
+                name.at,
+                ParseErrorKind::Redeclared {
+                    name: name.text.to_owned(),
                 },
-            ));
-        };
-        match &net.driver {
-            Driver::Node(id) => return Ok(*id),
-            Driver::Assign(NetRef::Const { value, .. }) => {
-                return Ok(tie(*value, netlist, ties, declared))
+            )),
+            Entry::Vacant(slot) => {
+                let id = self.nets.len();
+                slot.insert(id);
+                self.nets.push(net);
+                Ok(id)
             }
-            Driver::Assign(NetRef::Net(next)) => {
-                if !visited.insert(current) {
-                    return Err(ParseError::new(
-                        read.line,
-                        read.column,
-                        ParseErrorKind::InvalidConnection {
-                            message: format!("assign cycle through net '{current}'"),
+        }
+    }
+
+    /// The id of net `text`, if it names a declared port or wire.
+    fn net_id(&self, text: &str) -> Option<usize> {
+        let id = *self.ids.get(text)?;
+        self.nets[id].is_some().then_some(id)
+    }
+
+    fn net(&self, id: usize) -> &Net<'a> {
+        self.nets[id].as_ref().expect("net ids name nets")
+    }
+
+    fn net_mut(&mut self, id: usize) -> &mut Net<'a> {
+        self.nets[id].as_mut().expect("net ids name nets")
+    }
+
+    /// The id of the net `name` reads or drives, or an `UndeclaredNet`
+    /// error at `name`.
+    fn declared_net(&self, name: Name<'_>) -> Result<usize, ParseError> {
+        self.net_id(name.text).ok_or_else(|| {
+            self.error(
+                name.at,
+                ParseErrorKind::UndeclaredNet {
+                    net: name.text.to_owned(),
+                },
+            )
+        })
+    }
+
+    /// Materializes the shared `TIEL_X1`/`TIEH_X1` cell for a constant,
+    /// named `const0`/`const1` (suffixed `_1`, `_2`, ... past declared
+    /// names).
+    fn tie(&mut self, value: bool) -> NodeId {
+        let slot = usize::from(value);
+        if let Some(id) = self.ties[slot] {
+            return id;
+        }
+        let base = if value { "const1" } else { "const0" };
+        let mut name = base.to_owned();
+        let mut k = 1u32;
+        while self.ids.contains_key(name.as_str()) {
+            name = format!("{base}_{k}");
+            k += 1;
+        }
+        let kind = if value {
+            CellKind::Tie1
+        } else {
+            CellKind::Tie0
+        };
+        let id = self
+            .netlist
+            .add_cell(kind, name, &[])
+            .expect("tie cells have no input pins");
+        self.ties[slot] = Some(id);
+        id
+    }
+
+    /// Resolves the node driving net `read`, chasing assign chains.
+    fn resolve_net(&mut self, read: Name<'a>) -> Result<NodeId, ParseError> {
+        self.stamp += 1;
+        let mut current = read.text;
+        loop {
+            let Some(id) = self.net_id(current) else {
+                return Err(self.error(
+                    read.at,
+                    ParseErrorKind::UndeclaredNet {
+                        net: current.to_owned(),
+                    },
+                ));
+            };
+            match self.net(id).driver {
+                Driver::Node(node) => return Ok(node),
+                Driver::Assign(NetRef::Const { value, .. }) => return Ok(self.tie(value)),
+                Driver::Assign(NetRef::Net(next)) => {
+                    if self.seen[id] == self.stamp {
+                        return Err(self.error(
+                            read.at,
+                            ParseErrorKind::InvalidConnection {
+                                message: format!("assign cycle through net '{current}'"),
+                            },
+                        ));
+                    }
+                    self.seen[id] = self.stamp;
+                    current = next.text;
+                }
+                Driver::None => {
+                    return Err(self.error(
+                        read.at,
+                        ParseErrorKind::UndrivenNet {
+                            net: current.to_owned(),
                         },
                     ));
                 }
-                current = &next.text;
             }
-            Driver::None => {
-                return Err(ParseError::new(
-                    read.line,
-                    read.column,
-                    ParseErrorKind::UndrivenNet {
-                        net: current.to_owned(),
+        }
+    }
+
+    fn resolve_ref(&mut self, r: NetRef<'a>) -> Result<NodeId, ParseError> {
+        match r {
+            NetRef::Const { value, .. } => Ok(self.tie(value)),
+            NetRef::Net(n) => self.resolve_net(n),
+        }
+    }
+
+    /// Interns ports and wires and settles every port's direction.
+    fn declarations(&mut self) -> Result<Vec<Option<Dir>>, ParseError> {
+        let ast = self.ast;
+        for p in &ast.ports {
+            self.declare(p.name, Some(Net::undriven()))?;
+        }
+        let mut port_dirs: Vec<Option<Dir>> = ast.ports.iter().map(|p| p.dir).collect();
+        for item in &ast.items {
+            let Item::Decl { dir, names } = item else {
+                continue;
+            };
+            for &n in &ast.names[names.clone()] {
+                if *dir == Dir::Wire {
+                    self.declare(n, Some(Net::undriven()))?;
+                    continue;
+                }
+                // Ports hold the first ids, in port order.
+                let port = self
+                    .ids
+                    .get(n.text)
+                    .copied()
+                    .filter(|&i| i < port_dirs.len());
+                match port {
+                    Some(i) if port_dirs[i].is_none() => port_dirs[i] = Some(*dir),
+                    _ => {
+                        return Err(self.error(
+                            n.at,
+                            ParseErrorKind::PortDirection {
+                                port: n.text.to_owned(),
+                            },
+                        ))
+                    }
+                }
+            }
+        }
+        if let Some(p) = ast.ports.iter().zip(&port_dirs).find(|(_, d)| d.is_none()) {
+            return Err(self.error(
+                p.0.name.at,
+                ParseErrorKind::PortDirection {
+                    port: p.0.name.text.to_owned(),
+                },
+            ));
+        }
+        Ok(port_dirs)
+    }
+
+    /// Checks one instance's pins and registers its output as the driver
+    /// of the connected net.
+    fn instance(
+        &mut self,
+        cell: Name<'a>,
+        name: Name<'a>,
+        pins: Range<usize>,
+    ) -> Result<CellInst, ParseError> {
+        let ast = self.ast;
+        let Some(kind) = CellKind::ALL
+            .into_iter()
+            .find(|k| k.lib_name() == cell.text)
+        else {
+            return Err(self.error(
+                cell.at,
+                ParseErrorKind::UnknownCell {
+                    cell: cell.text.to_owned(),
+                },
+            ));
+        };
+        self.declare(name, None)?;
+        let mut slots = [None; SLOTS];
+        for (i, conn) in ast.pins[pins.clone()].iter().enumerate() {
+            let Some(slot) = pin_slot(kind, conn.pin.text) else {
+                return Err(self.error(
+                    conn.pin.at,
+                    ParseErrorKind::UnknownPin {
+                        cell: kind.lib_name().to_owned(),
+                        pin: conn.pin.text.to_owned(),
+                    },
+                ));
+            };
+            if slots[slot].replace(pins.start + i).is_some() {
+                return Err(self.error(
+                    conn.pin.at,
+                    ParseErrorKind::DuplicatePin {
+                        pin: conn.pin.text.to_owned(),
                     },
                 ));
             }
         }
-    }
-}
-
-fn resolve_ref(
-    r: &NetRef,
-    nets: &HashMap<String, Net>,
-    netlist: &mut Netlist,
-    ties: &mut Ties,
-    declared: &mut HashSet<String>,
-) -> Result<NodeId, ParseError> {
-    match r {
-        NetRef::Const { value, .. } => Ok(tie(*value, netlist, ties, declared)),
-        NetRef::Net(n) => resolve_net(n, nets, netlist, ties, declared),
-    }
-}
-
-fn elaborate(ast: &Ast) -> Result<VerilogDesign, NetlistError> {
-    let lib: HashMap<&str, CellKind> = CellKind::ALL.iter().map(|&k| (k.lib_name(), k)).collect();
-
-    // --- Namespace and port directions ----------------------------------
-    // Verilog modules have a single declaration namespace: ports, wires,
-    // and instance names may not collide.
-    let mut declared: HashSet<String> = HashSet::new();
-    let mut port_index: HashMap<&str, usize> = HashMap::new();
-    let mut port_dirs: Vec<Option<Dir>> = ast.ports.iter().map(|p| p.dir).collect();
-    for (i, p) in ast.ports.iter().enumerate() {
-        if !declared.insert(p.name.text.clone()) {
-            return Err(redeclared(&p.name).into());
-        }
-        port_index.insert(&p.name.text, i);
-    }
-    let mut wires: Vec<&Name> = Vec::new();
-    for item in &ast.items {
-        let Item::Decl { dir, names } = item else {
-            continue;
-        };
-        for n in names {
-            match dir {
-                Dir::Wire => {
-                    if !declared.insert(n.text.clone()) {
-                        return Err(redeclared(n).into());
-                    }
-                    wires.push(n);
-                }
-                Dir::Input | Dir::Output => {
-                    let dir_err = || {
-                        ParseError::new(
-                            n.line,
-                            n.column,
-                            ParseErrorKind::PortDirection {
-                                port: n.text.clone(),
-                            },
-                        )
-                    };
-                    let Some(&i) = port_index.get(n.text.as_str()) else {
-                        return Err(dir_err().into());
-                    };
-                    if port_dirs[i].is_some() {
-                        return Err(dir_err().into());
-                    }
-                    port_dirs[i] = Some(*dir);
-                }
-            }
-        }
-    }
-    for (p, d) in ast.ports.iter().zip(&port_dirs) {
-        if d.is_none() {
-            return Err(ParseError::new(
-                p.name.line,
-                p.name.column,
-                ParseErrorKind::PortDirection {
-                    port: p.name.text.clone(),
+        let inputs = pin_names(kind);
+        let mut required = (0..inputs.len()).chain([OUT_SLOT]);
+        if let Some(missing) = required.find(|&s| slots[s].is_none()) {
+            let pin = inputs.get(missing).copied().unwrap_or(output_pin(kind));
+            return Err(self.error(
+                name.at,
+                ParseErrorKind::MissingPin {
+                    cell: kind.lib_name().to_owned(),
+                    pin: pin.to_owned(),
                 },
-            )
-            .into());
+            ));
+        }
+        if slots[CONTROL_SLOT + 1].is_some() && slots[CONTROL_SLOT + 2].is_some() {
+            return Err(self.error(
+                name.at,
+                ParseErrorKind::InvalidConnection {
+                    message: format!(
+                        "instance '{}' connects both RN and SN \
+                         (one reset style per flop)",
+                        name.text
+                    ),
+                },
+            ));
+        }
+        for (cp, slot) in DFF_CONTROL_PINS.iter().zip(&slots[CONTROL_SLOT..]) {
+            if let Some(NetRef::Const { at, .. }) = slot.map(|i| ast.pins[i].net) {
+                return Err(self.error(
+                    at,
+                    ParseErrorKind::InvalidConnection {
+                        message: format!("constant on control pin '{cp}'"),
+                    },
+                ));
+            }
+        }
+        let node = self.netlist.add_cell_unconnected(kind, name.text);
+        let out = slots[OUT_SLOT].expect("required pins checked");
+        match ast.pins[out].net {
+            NetRef::Const { at, .. } => Err(self.error(
+                at,
+                ParseErrorKind::InvalidConnection {
+                    message: format!("constant on output pin '{}'", output_pin(kind)),
+                },
+            )),
+            NetRef::Net(n) => {
+                let id = self.declared_net(n)?;
+                let net = self.net_mut(id);
+                if !matches!(net.driver, Driver::None) {
+                    return Err(multiple_drivers(ast, n));
+                }
+                net.driver = Driver::Node(node);
+                Ok(CellInst {
+                    node,
+                    kind,
+                    pins: slots,
+                })
+            }
         }
     }
 
-    // --- Netlist skeleton: primary inputs, then net bookkeeping ---------
-    let mut netlist = Netlist::new(ast.name.clone());
-    let mut nets: HashMap<String, Net> = HashMap::new();
-    for (p, d) in ast.ports.iter().zip(&port_dirs) {
-        let driver = match d.expect("directions checked") {
-            Dir::Input => Driver::Node(netlist.add_input(&p.name.text)),
-            _ => Driver::None,
-        };
-        nets.insert(
-            p.name.text.clone(),
-            Net {
-                driver,
-                is_output_port: *d == Some(Dir::Output),
-            },
-        );
-    }
-    for w in &wires {
-        nets.insert(
-            w.text.clone(),
-            Net {
-                driver: Driver::None,
-                is_output_port: false,
-            },
-        );
-    }
+    fn run(mut self) -> Result<VerilogDesign, NetlistError> {
+        let ast = self.ast;
+        let port_dirs = self.declarations()?;
 
-    // --- Assigns and instances, in source order -------------------------
-    let mut cells: Vec<CellInst> = Vec::new();
-    for item in &ast.items {
-        match item {
-            Item::Decl { .. } => {}
-            Item::Assign { lhs, rhs } => {
-                let Some(net) = nets.get_mut(&lhs.text) else {
-                    return Err(ParseError::new(
-                        lhs.line,
-                        lhs.column,
-                        ParseErrorKind::UndeclaredNet {
-                            net: lhs.text.clone(),
-                        },
-                    )
-                    .into());
-                };
-                if !net.is_output_port {
-                    return Err(ParseError::new(
-                        lhs.line,
-                        lhs.column,
-                        ParseErrorKind::InvalidConnection {
-                            message: format!(
-                                "assign target '{}' is not an output port \
-                                 (this frontend only assigns outputs)",
-                                lhs.text
-                            ),
-                        },
-                    )
-                    .into());
-                }
-                if !matches!(net.driver, Driver::None) {
-                    return Err(multiple_drivers((lhs.line, lhs.column), &lhs.text).into());
-                }
-                net.driver = Driver::Assign(rhs.clone());
-            }
-            Item::Instance(inst) => {
-                let Some(&kind) = lib.get(inst.cell.text.as_str()) else {
-                    return Err(ParseError::new(
-                        inst.cell.line,
-                        inst.cell.column,
-                        ParseErrorKind::UnknownCell {
-                            cell: inst.cell.text.clone(),
-                        },
-                    )
-                    .into());
-                };
-                if !declared.insert(inst.name.text.clone()) {
-                    return Err(redeclared(&inst.name).into());
-                }
-                let inputs = pin_names(kind);
-                let out = output_pin(kind);
-                let mut pins: HashMap<String, NetRef> = HashMap::new();
-                for conn in &inst.pins {
-                    let pname = conn.pin.text.as_str();
-                    let known = inputs.contains(&pname)
-                        || pname == out
-                        || (kind.is_sequential() && DFF_CONTROL_PINS.contains(&pname));
-                    if !known {
-                        return Err(ParseError::new(
-                            conn.pin.line,
-                            conn.pin.column,
-                            ParseErrorKind::UnknownPin {
-                                cell: kind.lib_name().to_owned(),
-                                pin: pname.to_owned(),
-                            },
-                        )
-                        .into());
-                    }
-                    if pins.insert(pname.to_owned(), conn.net.clone()).is_some() {
-                        return Err(ParseError::new(
-                            conn.pin.line,
-                            conn.pin.column,
-                            ParseErrorKind::DuplicatePin {
-                                pin: pname.to_owned(),
-                            },
-                        )
-                        .into());
-                    }
-                }
-                for required in inputs.iter().chain(std::iter::once(&out)) {
-                    if !pins.contains_key(*required) {
-                        return Err(ParseError::new(
-                            inst.name.line,
-                            inst.name.column,
-                            ParseErrorKind::MissingPin {
-                                cell: kind.lib_name().to_owned(),
-                                pin: (*required).to_owned(),
-                            },
-                        )
-                        .into());
-                    }
-                }
-                if pins.contains_key("RN") && pins.contains_key("SN") {
-                    return Err(ParseError::new(
-                        inst.name.line,
-                        inst.name.column,
-                        ParseErrorKind::InvalidConnection {
-                            message: format!(
-                                "instance '{}' connects both RN and SN \
-                                 (one reset style per flop)",
-                                inst.name.text
-                            ),
-                        },
-                    )
-                    .into());
-                }
-                for cp in DFF_CONTROL_PINS {
-                    if let Some(NetRef::Const { line, column, .. }) = pins.get(cp) {
-                        return Err(ParseError::new(
-                            *line,
-                            *column,
-                            ParseErrorKind::InvalidConnection {
-                                message: format!("constant on control pin '{cp}'"),
-                            },
-                        )
-                        .into());
-                    }
-                }
-                let node = netlist.add_cell_unconnected(kind, &inst.name.text);
-                // Register the output pin as this net's driver.
-                match &pins[out] {
-                    NetRef::Const { line, column, .. } => {
-                        return Err(ParseError::new(
-                            *line,
-                            *column,
-                            ParseErrorKind::InvalidConnection {
-                                message: format!("constant on output pin '{out}'"),
-                            },
-                        )
-                        .into());
-                    }
-                    NetRef::Net(n) => {
-                        let Some(net) = nets.get_mut(&n.text) else {
-                            return Err(ParseError::new(
-                                n.line,
-                                n.column,
-                                ParseErrorKind::UndeclaredNet {
-                                    net: n.text.clone(),
+        // --- Primary inputs, in port order ---------------------------------
+        for (id, (p, d)) in ast.ports.iter().zip(&port_dirs).enumerate() {
+            let driver = match d.expect("directions checked") {
+                Dir::Input => Driver::Node(self.netlist.add_input(p.name.text)),
+                _ => Driver::None,
+            };
+            let net = self.net_mut(id);
+            net.driver = driver;
+            net.is_output_port = *d == Some(Dir::Output);
+        }
+
+        // --- Assigns and instances, in source order ------------------------
+        let mut cells: Vec<CellInst> = Vec::new();
+        for item in &ast.items {
+            match item {
+                Item::Decl { .. } => {}
+                Item::Assign { lhs, rhs } => {
+                    let id = self.declared_net(*lhs)?;
+                    let net = self.net_mut(id);
+                    if !net.is_output_port {
+                        return Err(self
+                            .error(
+                                lhs.at,
+                                ParseErrorKind::InvalidConnection {
+                                    message: format!(
+                                        "assign target '{}' is not an output port \
+                                         (this frontend only assigns outputs)",
+                                        lhs.text
+                                    ),
                                 },
                             )
                             .into());
-                        };
-                        if !matches!(net.driver, Driver::None) {
-                            return Err(multiple_drivers((n.line, n.column), &n.text).into());
-                        }
-                        net.driver = Driver::Node(node);
                     }
+                    if !matches!(net.driver, Driver::None) {
+                        return Err(multiple_drivers(ast, *lhs).into());
+                    }
+                    net.driver = Driver::Assign(*rhs);
                 }
-                cells.push(CellInst { node, kind, pins });
+                Item::Instance { cell, name, pins } => {
+                    cells.push(self.instance(*cell, *name, pins.clone())?);
+                }
             }
         }
-    }
 
-    // --- Connect pins (second pass: nets may be driven after first use) -
-    let mut ties = Ties::default();
-    let mut dffs: Vec<ParsedDff> = Vec::new();
-    for c in &cells {
-        for pin in pin_names(c.kind) {
-            let src = resolve_ref(&c.pins[*pin], &nets, &mut netlist, &mut ties, &mut declared)?;
-            netlist
-                .connect_pin(c.node, src)
-                .expect("pin arity pre-checked against the cell library");
-        }
-        if c.kind.is_sequential() {
+        // --- Connect pins (second pass: nets may be driven after first use) -
+        // Every name is declared by now.
+        self.seen = vec![0; self.nets.len()];
+        let mut dffs: Vec<ParsedDff> = Vec::new();
+        for c in &cells {
+            let net_at = |slot: usize| c.pins[slot].map(|i| ast.pins[i].net);
+            for slot in 0..pin_names(c.kind).len() {
+                let src = self.resolve_ref(net_at(slot).expect("required pins checked"))?;
+                self.netlist
+                    .connect_pin(c.node, src)
+                    .expect("pin arity pre-checked against the cell library");
+            }
+            if !c.kind.is_sequential() {
+                continue;
+            }
             // Control nets must exist and be driven, but carry no edges:
             // the netlist graph models the D/Q data path only.
-            for cp in DFF_CONTROL_PINS {
-                if let Some(r) = c.pins.get(cp) {
-                    resolve_ref(r, &nets, &mut netlist, &mut ties, &mut declared)?;
+            for slot in CONTROL_SLOT..SLOTS {
+                if let Some(r) = net_at(slot) {
+                    self.resolve_ref(r)?;
                 }
             }
-            let clock = match c.pins.get("CK") {
-                Some(NetRef::Net(n)) => Some(n.text.clone()),
+            let clock = match net_at(CONTROL_SLOT) {
+                Some(NetRef::Net(n)) => Some(n.text.to_owned()),
                 _ => None,
             };
-            let reset = if c.pins.contains_key("RN") {
+            let reset = if c.pins[CONTROL_SLOT + 1].is_some() {
                 DffReset::ActiveLowReset
-            } else if c.pins.contains_key("SN") {
+            } else if c.pins[CONTROL_SLOT + 2].is_some() {
                 DffReset::ActiveLowSet
             } else {
                 DffReset::Implicit
@@ -554,29 +588,41 @@ fn elaborate(ast: &Ast) -> Result<VerilogDesign, NetlistError> {
                 reset,
             });
         }
-    }
 
-    // --- Primary outputs, in port order ----------------------------------
-    for (p, d) in ast.ports.iter().zip(&port_dirs) {
-        if *d != Some(Dir::Output) {
-            continue;
+        // --- Primary outputs, in port order --------------------------------
+        for (id, (p, d)) in ast.ports.iter().zip(&port_dirs).enumerate() {
+            if *d != Some(Dir::Output) {
+                continue;
+            }
+            if matches!(self.net(id).driver, Driver::None) {
+                return Err(self
+                    .error(
+                        p.name.at,
+                        ParseErrorKind::UnassignedOutput {
+                            port: p.name.text.to_owned(),
+                        },
+                    )
+                    .into());
+            }
+            let src = self.resolve_net(p.name)?;
+            self.netlist.add_output(p.name.text, src);
         }
-        if matches!(nets[&p.name.text].driver, Driver::None) {
-            return Err(ParseError::new(
-                p.name.line,
-                p.name.column,
-                ParseErrorKind::UnassignedOutput {
-                    port: p.name.text.clone(),
-                },
-            )
-            .into());
-        }
-        let src = resolve_net(&p.name, &nets, &mut netlist, &mut ties, &mut declared)?;
-        netlist.add_output(&p.name.text, src);
-    }
 
-    netlist.validate()?;
-    Ok(VerilogDesign { netlist, dffs })
+        self.netlist.validate()?;
+        Ok(VerilogDesign {
+            netlist: self.netlist,
+            dffs,
+        })
+    }
+}
+
+fn multiple_drivers(ast: &Ast<'_>, net: Name<'_>) -> ParseError {
+    ast.error(
+        net.at,
+        ParseErrorKind::MultipleDrivers {
+            net: net.text.to_owned(),
+        },
+    )
 }
 
 // ---------------------------------------------------------------------------

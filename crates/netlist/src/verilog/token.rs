@@ -1,18 +1,20 @@
 //! Tokenizer for gate-level structural Verilog.
 //!
-//! Produces a typed token stream with 1-based line/column spans. Handles
-//! the lexical surface real benchmark netlists actually use: `//` and
-//! `/* */` comments, simple and escaped (`\any[chars] `) identifiers, and
-//! the single-bit constants `1'b0` / `1'b1`.
+//! Produces `(kind, byte range)` tokens: nothing is copied out of the
+//! source, and identifier text is a slice of it ([`Token::text`]). Line
+//! and column are not tracked while scanning; [`position`] derives them
+//! from a byte offset when an error is built. Handles the lexical surface
+//! real benchmark netlists actually use: `//` and `/* */` comments, simple
+//! and escaped (`\any[chars] `) identifiers, and the single-bit constants
+//! `1'b0` / `1'b1`.
 
 use super::error::{ParseError, ParseErrorKind};
 
-/// One lexical token.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Token {
-    /// A simple or escaped identifier (escaped identifiers are stored
-    /// without the leading backslash or terminating whitespace).
-    Ident(String),
+/// What a token is.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// A simple or escaped identifier.
+    Ident,
     /// A single-bit constant: `1'b0` (false) or `1'b1` (true).
     Const(bool),
     /// `(`
@@ -41,49 +43,71 @@ pub enum Token {
     Assign,
 }
 
+/// One lexical token: its kind and the byte range it spans in the source.
+/// An escaped identifier's range starts at its backslash and ends before
+/// its terminating whitespace.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Token {
+    /// The token kind.
+    pub kind: Kind,
+    /// Byte offset of the token's first character.
+    pub start: usize,
+    /// Byte offset one past the token's last character.
+    pub end: usize,
+}
+
 impl Token {
+    /// The identifier text (escaped identifiers without the backslash).
+    pub fn text(self, src: &str) -> &str {
+        let text = &src[self.start..self.end];
+        text.strip_prefix('\\').unwrap_or(text)
+    }
+
     /// Human-readable description for expected-vs-found diagnostics.
-    pub fn describe(&self) -> String {
-        match self {
-            Token::Ident(s) => format!("identifier '{s}'"),
-            Token::Const(b) => format!("constant 1'b{}", u8::from(*b)),
-            Token::LParen => "'('".into(),
-            Token::RParen => "')'".into(),
-            Token::Semi => "';'".into(),
-            Token::Comma => "','".into(),
-            Token::Dot => "'.'".into(),
-            Token::Equals => "'='".into(),
-            Token::Module => "keyword 'module'".into(),
-            Token::Endmodule => "keyword 'endmodule'".into(),
-            Token::Input => "keyword 'input'".into(),
-            Token::Output => "keyword 'output'".into(),
-            Token::Wire => "keyword 'wire'".into(),
-            Token::Assign => "keyword 'assign'".into(),
+    pub fn describe(self, src: &str) -> String {
+        match self.kind {
+            Kind::Ident => format!("identifier '{}'", self.text(src)),
+            Kind::Const(b) => format!("constant 1'b{}", u8::from(b)),
+            Kind::LParen => "'('".into(),
+            Kind::RParen => "')'".into(),
+            Kind::Semi => "';'".into(),
+            Kind::Comma => "','".into(),
+            Kind::Dot => "'.'".into(),
+            Kind::Equals => "'='".into(),
+            Kind::Module => "keyword 'module'".into(),
+            Kind::Endmodule => "keyword 'endmodule'".into(),
+            Kind::Input => "keyword 'input'".into(),
+            Kind::Output => "keyword 'output'".into(),
+            Kind::Wire => "keyword 'wire'".into(),
+            Kind::Assign => "keyword 'assign'".into(),
         }
     }
 }
 
-/// A token plus the 1-based position of its first character.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Spanned {
-    /// The token.
-    pub token: Token,
-    /// 1-based source line.
-    pub line: u32,
-    /// 1-based source column.
-    pub column: u32,
+/// The 1-based line and column of byte `offset` in `src`. Columns count
+/// bytes, so a multi-byte character advances the column by its length.
+/// Both saturate at `u32::MAX`.
+pub fn position(src: &str, offset: usize) -> (u32, u32) {
+    let before = &src.as_bytes()[..offset];
+    let line = 1 + before.iter().filter(|&&b| b == b'\n').count();
+    let line_start = before
+        .iter()
+        .rposition(|&b| b == b'\n')
+        .map_or(0, |i| i + 1);
+    let clamp = |n: usize| u32::try_from(n).unwrap_or(u32::MAX);
+    (clamp(line), clamp(offset - line_start + 1))
 }
 
 /// Reserved words this frontend refuses as bare identifiers. Names that
 /// collide with these must be written as escaped identifiers.
-pub fn keyword(word: &str) -> Option<Token> {
+fn keyword(word: &str) -> Option<Kind> {
     match word {
-        "module" => Some(Token::Module),
-        "endmodule" => Some(Token::Endmodule),
-        "input" => Some(Token::Input),
-        "output" => Some(Token::Output),
-        "wire" => Some(Token::Wire),
-        "assign" => Some(Token::Assign),
+        "module" => Some(Kind::Module),
+        "endmodule" => Some(Kind::Endmodule),
+        "input" => Some(Kind::Input),
+        "output" => Some(Kind::Output),
+        "wire" => Some(Kind::Wire),
+        "assign" => Some(Kind::Assign),
         _ => None,
     }
 }
@@ -101,37 +125,12 @@ pub fn is_simple_ident(name: &str) -> bool {
         && keyword(name).is_none()
 }
 
-struct Lexer<'a> {
-    src: &'a [u8],
-    pos: usize,
-    line: u32,
-    column: u32,
-}
-
-impl<'a> Lexer<'a> {
-    fn peek(&self) -> Option<u8> {
-        self.src.get(self.pos).copied()
-    }
-
-    fn peek2(&self) -> Option<u8> {
-        self.src.get(self.pos + 1).copied()
-    }
-
-    fn bump(&mut self) -> Option<u8> {
-        let b = self.peek()?;
-        self.pos += 1;
-        if b == b'\n' {
-            self.line += 1;
-            self.column = 1;
-        } else {
-            self.column += 1;
-        }
-        Some(b)
-    }
-
-    fn err(&self, line: u32, column: u32, message: String) -> ParseError {
-        ParseError::new(line, column, ParseErrorKind::Lex { message })
-    }
+/// The offset of the first byte at or after `from` that fails `keep`.
+fn scan(bytes: &[u8], from: usize, keep: impl Fn(u8) -> bool) -> usize {
+    bytes[from..]
+        .iter()
+        .position(|&b| !keep(b))
+        .map_or(bytes.len(), |i| from + i)
 }
 
 /// Tokenizes `src`.
@@ -142,63 +141,42 @@ impl<'a> Lexer<'a> {
 /// characters, unterminated block comments, non-single-bit literals, and
 /// empty escaped identifiers; bus-range brackets get a dedicated
 /// [`ParseErrorKind::Unsupported`] diagnostic.
-pub fn lex(src: &str) -> Result<Vec<Spanned>, ParseError> {
-    let mut lx = Lexer {
-        src: src.as_bytes(),
-        pos: 0,
-        line: 1,
-        column: 1,
+pub fn lex(src: &str) -> Result<Vec<Token>, ParseError> {
+    let bytes = src.as_bytes();
+    let err = |at: usize, kind: ParseErrorKind| {
+        let (line, column) = position(src, at);
+        ParseError::new(line, column, kind)
     };
+    let lex_err = |at: usize, message: String| err(at, ParseErrorKind::Lex { message });
     let mut out = Vec::new();
-    while let Some(b) = lx.peek() {
-        let (line, column) = (lx.line, lx.column);
-        match b {
+    let mut pos = 0;
+    while let Some(&b) = bytes.get(pos) {
+        let start = pos;
+        let kind = match b {
             b' ' | b'\t' | b'\r' | b'\n' => {
-                lx.bump();
+                pos += 1;
+                continue;
             }
-            b'/' if lx.peek2() == Some(b'/') => {
-                while let Some(c) = lx.peek() {
-                    if c == b'\n' {
-                        break;
-                    }
-                    lx.bump();
-                }
+            b'/' if bytes.get(pos + 1) == Some(&b'/') => {
+                pos = scan(bytes, pos, |c| c != b'\n');
+                continue;
             }
-            b'/' if lx.peek2() == Some(b'*') => {
-                lx.bump();
-                lx.bump();
-                let mut closed = false;
-                while let Some(c) = lx.bump() {
-                    if c == b'*' && lx.peek() == Some(b'/') {
-                        lx.bump();
-                        closed = true;
-                        break;
-                    }
-                }
-                if !closed {
-                    return Err(lx.err(line, column, "unterminated block comment".into()));
-                }
-            }
-            b'(' | b')' | b';' | b',' | b'.' | b'=' => {
-                lx.bump();
-                let token = match b {
-                    b'(' => Token::LParen,
-                    b')' => Token::RParen,
-                    b';' => Token::Semi,
-                    b',' => Token::Comma,
-                    b'.' => Token::Dot,
-                    _ => Token::Equals,
+            b'/' if bytes.get(pos + 1) == Some(&b'*') => {
+                let Some(close) = bytes[pos + 2..].windows(2).position(|w| w == b"*/") else {
+                    return Err(lex_err(start, "unterminated block comment".into()));
                 };
-                out.push(Spanned {
-                    token,
-                    line,
-                    column,
-                });
+                pos += 2 + close + 2;
+                continue;
             }
+            b'(' => Kind::LParen,
+            b')' => Kind::RParen,
+            b';' => Kind::Semi,
+            b',' => Kind::Comma,
+            b'.' => Kind::Dot,
+            b'=' => Kind::Equals,
             b'[' | b']' => {
-                return Err(ParseError::new(
-                    line,
-                    column,
+                return Err(err(
+                    start,
                     ParseErrorKind::Unsupported {
                         construct: "bus ranges / bit selects (flatten buses to scalar nets, \
                                     or use escaped identifiers like `\\q[0] `)"
@@ -207,77 +185,62 @@ pub fn lex(src: &str) -> Result<Vec<Spanned>, ParseError> {
                 ));
             }
             b'\\' => {
-                lx.bump();
-                let start = lx.pos;
-                while let Some(c) = lx.peek() {
-                    if c.is_ascii_whitespace() {
-                        break;
-                    }
-                    lx.bump();
+                // Escaped identifiers run to the next whitespace byte, so
+                // the range ends on a character boundary.
+                pos = scan(bytes, pos + 1, |c| !c.is_ascii_whitespace());
+                if pos == start + 1 {
+                    return Err(lex_err(start, "empty escaped identifier".into()));
                 }
-                if lx.pos == start {
-                    return Err(lx.err(line, column, "empty escaped identifier".into()));
-                }
-                // Escaped identifiers are raw bytes up to whitespace; the
-                // source is UTF-8, so the slice is too.
-                let name = String::from_utf8_lossy(&lx.src[start..lx.pos]).into_owned();
-                out.push(Spanned {
-                    token: Token::Ident(name),
-                    line,
-                    column,
+                out.push(Token {
+                    kind: Kind::Ident,
+                    start,
+                    end: pos,
                 });
+                continue;
             }
             _ if b.is_ascii_alphabetic() || b == b'_' => {
-                let start = lx.pos;
-                while let Some(c) = lx.peek() {
-                    if c.is_ascii_alphanumeric() || c == b'_' || c == b'$' {
-                        lx.bump();
-                    } else {
-                        break;
-                    }
-                }
-                let word = std::str::from_utf8(&lx.src[start..lx.pos])
-                    .expect("ascii ident bytes are utf-8");
-                let token = keyword(word).unwrap_or_else(|| Token::Ident(word.to_owned()));
-                out.push(Spanned {
-                    token,
-                    line,
-                    column,
+                pos = scan(bytes, pos, |c| {
+                    c.is_ascii_alphanumeric() || c == b'_' || c == b'$'
                 });
+                out.push(Token {
+                    kind: keyword(&src[start..pos]).unwrap_or(Kind::Ident),
+                    start,
+                    end: pos,
+                });
+                continue;
             }
             _ if b.is_ascii_digit() => {
-                let start = lx.pos;
-                while let Some(c) = lx.peek() {
-                    if c.is_ascii_alphanumeric() || c == b'\'' || c == b'_' {
-                        lx.bump();
-                    } else {
-                        break;
-                    }
-                }
-                let lit = std::str::from_utf8(&lx.src[start..lx.pos])
-                    .expect("ascii literal bytes are utf-8");
-                let token = match lit {
-                    "1'b0" => Token::Const(false),
-                    "1'b1" => Token::Const(true),
-                    _ => {
-                        return Err(lx.err(
-                            line,
-                            column,
+                pos = scan(bytes, pos, |c| {
+                    c.is_ascii_alphanumeric() || c == b'\'' || c == b'_'
+                });
+                let kind = match &src[start..pos] {
+                    "1'b0" => Kind::Const(false),
+                    "1'b1" => Kind::Const(true),
+                    lit => {
+                        return Err(lex_err(
+                            start,
                             format!("unsupported literal '{lit}' (only 1'b0 and 1'b1)"),
                         ))
                     }
                 };
-                out.push(Spanned {
-                    token,
-                    line,
-                    column,
+                out.push(Token {
+                    kind,
+                    start,
+                    end: pos,
                 });
+                continue;
             }
             _ => {
-                let ch = src[lx.pos..].chars().next().unwrap_or('?');
-                return Err(lx.err(line, column, format!("unexpected character '{ch}'")));
+                let ch = src[pos..].chars().next().unwrap_or('?');
+                return Err(lex_err(start, format!("unexpected character '{ch}'")));
             }
-        }
+        };
+        pos += 1;
+        out.push(Token {
+            kind,
+            start,
+            end: pos,
+        });
     }
     Ok(out)
 }
@@ -286,8 +249,12 @@ pub fn lex(src: &str) -> Result<Vec<Spanned>, ParseError> {
 mod tests {
     use super::*;
 
-    fn toks(src: &str) -> Vec<Token> {
-        lex(src).unwrap().into_iter().map(|s| s.token).collect()
+    fn toks(src: &str) -> Vec<(Kind, &str)> {
+        lex(src)
+            .unwrap()
+            .into_iter()
+            .map(|t| (t.kind, t.text(src)))
+            .collect()
     }
 
     #[test]
@@ -296,34 +263,43 @@ mod tests {
         assert_eq!(
             got,
             vec![
-                Token::Module,
-                Token::Ident("m".into()),
-                Token::LParen,
-                Token::Ident("a".into()),
-                Token::RParen,
-                Token::Semi,
-                Token::Wire,
-                Token::Ident("w".into()),
-                Token::Semi,
-                Token::Ident("q[0]".into()),
-                Token::Const(false),
-                Token::Const(true),
-                Token::Endmodule,
+                (Kind::Module, "module"),
+                (Kind::Ident, "m"),
+                (Kind::LParen, "("),
+                (Kind::Ident, "a"),
+                (Kind::RParen, ")"),
+                (Kind::Semi, ";"),
+                (Kind::Wire, "wire"),
+                (Kind::Ident, "w"),
+                (Kind::Semi, ";"),
+                (Kind::Ident, "q[0]"),
+                (Kind::Const(false), "1'b0"),
+                (Kind::Const(true), "1'b1"),
+                (Kind::Endmodule, "endmodule"),
             ]
         );
     }
 
     #[test]
     fn positions_are_one_based_lines_and_columns() {
-        let spans = lex("module\n  foo").unwrap();
-        assert_eq!((spans[0].line, spans[0].column), (1, 1));
-        assert_eq!((spans[1].line, spans[1].column), (2, 3));
+        let src = "module\n  foo";
+        let spans = lex(src).unwrap();
+        assert_eq!(position(src, spans[0].start), (1, 1));
+        assert_eq!(position(src, spans[1].start), (2, 3));
     }
 
     #[test]
     fn comment_newlines_advance_the_line_counter() {
-        let spans = lex("/* a\nb\nc */ x").unwrap();
-        assert_eq!((spans[0].line, spans[0].column), (3, 6));
+        let src = "/* a\nb\nc */ x";
+        let spans = lex(src).unwrap();
+        assert_eq!(position(src, spans[0].start), (3, 6));
+    }
+
+    #[test]
+    fn columns_count_bytes() {
+        // `é` is two bytes, so `x` sits in byte column 5.
+        assert_eq!(position("/*é*/x", 6), (1, 7));
+        assert_eq!(position("a\r\nb", 3), (2, 1));
     }
 
     #[test]
@@ -332,6 +308,9 @@ mod tests {
         assert_eq!((err.line, err.column), (1, 9));
         assert!(matches!(err.kind, ParseErrorKind::Lex { .. }));
         assert!(err.to_string().contains("unterminated"), "{err}");
+        // The opener's own `*` cannot close it.
+        assert!(lex("/*/").is_err());
+        assert!(lex("/**/").unwrap().is_empty());
     }
 
     #[test]
@@ -339,6 +318,7 @@ mod tests {
         let err = lex("module m; 4'b0101").unwrap_err();
         assert!(matches!(err.kind, ParseErrorKind::Lex { .. }));
         assert!(err.to_string().contains("4'b0101"), "{err}");
+        assert_eq!((err.line, err.column), (1, 11));
     }
 
     #[test]
@@ -351,9 +331,17 @@ mod tests {
     fn escaped_identifier_preserves_special_characters() {
         assert_eq!(
             toks("\\a.b[3] x"),
-            vec![Token::Ident("a.b[3]".into()), Token::Ident("x".into()),]
+            vec![(Kind::Ident, "a.b[3]"), (Kind::Ident, "x")]
         );
         assert!(lex("\\ x").is_err(), "empty escaped identifier");
+        assert_eq!(toks("\\né"), vec![(Kind::Ident, "né")]);
+    }
+
+    #[test]
+    fn stray_characters_are_named_and_positioned() {
+        let err = lex("wire\n  é;").unwrap_err();
+        assert_eq!((err.line, err.column), (2, 3));
+        assert!(err.to_string().contains("'é'"), "{err}");
     }
 
     #[test]

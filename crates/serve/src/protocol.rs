@@ -23,7 +23,7 @@
 //! [`FrameReadError::Oversized`] *before* any allocation, and a clean
 //! close at a frame boundary as `Ok(None)`.
 
-use std::io::{self, ErrorKind, Read, Write};
+use std::io::{self, ErrorKind, IoSlice, Read, Write};
 
 /// Maximum payload bytes per frame (8 MiB — a multi-hundred-thousand-cell
 /// netlist; anything larger is rejected before allocation).
@@ -137,9 +137,15 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<Frame>, FrameReadError> {
 
 /// Writes one frame and flushes.
 ///
+/// Header and payload go out through vectored writes, so on a socket a
+/// frame is one `writev` (one segment under `TCP_NODELAY`), not three
+/// writes, and the payload is never copied. A writer that takes only part
+/// of the frame is called again with the rest.
+///
 /// # Errors
 ///
-/// Propagates transport errors; rejects payloads over [`MAX_FRAME`].
+/// Propagates transport errors ([`ErrorKind::WriteZero`] if the writer
+/// stops accepting bytes); rejects payloads over [`MAX_FRAME`].
 pub fn write_frame<W: Write>(w: &mut W, op: u8, payload: &[u8]) -> io::Result<()> {
     if payload.len() > MAX_FRAME {
         return Err(io::Error::new(
@@ -147,9 +153,24 @@ pub fn write_frame<W: Write>(w: &mut W, op: u8, payload: &[u8]) -> io::Result<()
             "frame payload exceeds MAX_FRAME",
         ));
     }
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(&[op])?;
-    w.write_all(payload)?;
+    let mut header = [0u8; 5];
+    header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    header[4] = op;
+    let mut slices = [IoSlice::new(&header), IoSlice::new(payload)];
+    let mut rest: &mut [IoSlice<'_>] = &mut slices;
+    while !rest.is_empty() {
+        match w.write_vectored(rest) {
+            Ok(0) => {
+                return Err(io::Error::new(
+                    ErrorKind::WriteZero,
+                    "failed to write the whole frame",
+                ))
+            }
+            Ok(n) => IoSlice::advance_slices(&mut rest, n),
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
     w.flush()
 }
 
@@ -222,6 +243,94 @@ mod tests {
         let f = read_frame(&mut Cursor::new(&buf)).unwrap().unwrap();
         assert_eq!(f.op, OP_EMBED);
         assert_eq!(f.payload, b"module m (); endmodule");
+    }
+
+    /// Accepts 1, 2 or 3 bytes per call (cycling), across slice
+    /// boundaries, and counts the calls.
+    struct Trickle {
+        out: Vec<u8>,
+        calls: usize,
+        interrupt_every: usize,
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.calls += 1;
+            if self.interrupt_every > 0 && self.calls.is_multiple_of(self.interrupt_every) {
+                return Err(io::Error::from(ErrorKind::Interrupted));
+            }
+            let budget = 1 + self.calls % 3;
+            let before = self.out.len();
+            for b in bufs {
+                let take = (budget - (self.out.len() - before)).min(b.len());
+                self.out.extend_from_slice(&b[..take]);
+            }
+            Ok(self.out.len() - before)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn partial_writes_still_deliver_the_exact_frame() {
+        for payload in [
+            &b""[..],
+            b"x",
+            b"module m (); endmodule",
+            &[0xffu8; 300][..],
+        ] {
+            for interrupt_every in [0, 4] {
+                let mut w = Trickle {
+                    out: Vec::new(),
+                    calls: 0,
+                    interrupt_every,
+                };
+                write_frame(&mut w, OP_EMBEDDING, payload).unwrap();
+                let mut want = (payload.len() as u32).to_le_bytes().to_vec();
+                want.push(OP_EMBEDDING);
+                want.extend_from_slice(payload);
+                assert_eq!(w.out, want);
+                let f = read_frame(&mut Cursor::new(&w.out)).unwrap().unwrap();
+                assert_eq!((f.op, f.payload.as_slice()), (OP_EMBEDDING, payload));
+            }
+        }
+    }
+
+    #[test]
+    fn a_willing_writer_takes_the_frame_in_one_call() {
+        struct Counting(Vec<u8>, usize);
+        impl Write for Counting {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.1 += 1;
+                self.0.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+                self.1 += 1;
+                bufs.iter().for_each(|b| self.0.extend_from_slice(b));
+                Ok(bufs.iter().map(|b| b.len()).sum())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut w = Counting(Vec::new(), 0);
+        write_frame(&mut w, OP_EMBED, b"abc").unwrap();
+        assert_eq!(w.1, 1);
+        assert_eq!(w.0, [3, 0, 0, 0, OP_EMBED, b'a', b'b', b'c']);
+    }
+
+    #[test]
+    fn a_writer_that_stops_accepting_is_write_zero() {
+        let mut full = [0u8; 3];
+        let err = write_frame(&mut &mut full[..], OP_EMBED, b"abc").unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::WriteZero);
     }
 
     #[test]
